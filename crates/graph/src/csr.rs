@@ -1,22 +1,18 @@
 //! Frozen CSR (compressed sparse row) adjacency for the query phase.
 //!
 //! Construction mutates a [`Graph`] (`Vec<Vec<usize>>` behind
-//! `add_edge`/`remove_edge`); the measurement phase — stretch factors,
-//! diameters, crossing counts — only *reads* the adjacency, over and
-//! over, from every source node. [`Graph::freeze`] compacts the
-//! adjacency into two flat arrays (`offsets`, `targets`) with `u32` node
-//! ids: one allocation each, half the bytes per directed edge, and
-//! cache-line-friendly sequential neighbor scans.
+//! `add_edge`/`remove_edge`); the query phase only *reads* the
+//! adjacency. [`Graph::freeze`] compacts it into two flat arrays
+//! (`offsets`, `targets`) with `u32` node ids: one allocation each, half
+//! the bytes per directed edge, and cache-line-friendly sequential
+//! neighbor scans. Shortest-path searches use the same layout plus
+//! precomputed edge lengths, in [`crate::paths::PathIndex`].
 //!
 //! The freeze/thaw lifecycle is one-way per phase: build on `Graph`,
 //! [`Graph::freeze`] for queries, [`CsrGraph::thaw`] back to a mutable
 //! `Graph` only when a topology change forces a rebuild. Neighbor order
 //! is preserved exactly (ascending), so any traversal is bit-identical
 //! on either representation.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-use std::collections::VecDeque;
 
 use geospan_geometry::Point;
 
@@ -183,72 +179,6 @@ impl CsrGraph {
         let edges: Vec<(usize, usize)> = self.edges().collect();
         Graph::from_sorted_edges(self.points.clone(), edges)
     }
-
-    /// Hop distance from `src` to every node (`None` for unreachable
-    /// nodes). Identical output to [`crate::paths::bfs_hops`] on the
-    /// thawed graph.
-    ///
-    /// # Panics
-    /// Panics if `src` is out of bounds.
-    pub fn bfs_hops(&self, src: usize) -> Vec<Option<u32>> {
-        let n = self.node_count();
-        assert!(src < n, "source {src} out of bounds for {n} nodes");
-        let mut dist = vec![None; n];
-        dist[src] = Some(0);
-        let mut q = VecDeque::with_capacity(n);
-        q.push_back(src);
-        while let Some(u) = q.pop_front() {
-            let du = dist[u].expect("queued nodes have distances");
-            for &v in self.neighbors(u) {
-                let v = v as usize;
-                if dist[v].is_none() {
-                    dist[v] = Some(du + 1);
-                    q.push_back(v);
-                }
-            }
-        }
-        dist
-    }
-
-    /// Euclidean-length distance from `src` to every node (`None` for
-    /// unreachable nodes). Identical output to
-    /// [`crate::paths::dijkstra_lengths`] on the thawed graph.
-    ///
-    /// # Panics
-    /// Panics if `src` is out of bounds.
-    pub fn dijkstra_lengths(&self, src: usize) -> Vec<Option<f64>> {
-        let n = self.node_count();
-        assert!(src < n, "source {src} out of bounds for {n} nodes");
-        let mut dist: Vec<Option<f64>> = vec![None; n];
-        let mut done = vec![false; n];
-        let mut heap = BinaryHeap::with_capacity(n);
-        dist[src] = Some(0.0);
-        heap.push(CsrHeapEntry {
-            dist: 0.0,
-            node: src,
-        });
-        while let Some(CsrHeapEntry { dist: du, node: u }) = heap.pop() {
-            if done[u] {
-                continue;
-            }
-            done[u] = true;
-            for &v in self.neighbors(u) {
-                let v = v as usize;
-                if done[v] {
-                    continue;
-                }
-                let cand = du + self.edge_length(u, v);
-                if dist[v].is_none_or(|dv| cand < dv) {
-                    dist[v] = Some(cand);
-                    heap.push(CsrHeapEntry {
-                        dist: cand,
-                        node: v,
-                    });
-                }
-            }
-        }
-        dist
-    }
 }
 
 /// What a node→shard assignment does to this graph's edges — see
@@ -288,36 +218,10 @@ impl ShardCut {
     }
 }
 
-/// Max-heap entry ordered by *smallest* distance first (same tie rule as
-/// `paths::HeapEntry`, so traversal order matches the unfrozen path).
-#[derive(PartialEq)]
-struct CsrHeapEntry {
-    dist: f64,
-    node: usize,
-}
-
-impl Eq for CsrHeapEntry {}
-
-impl Ord for CsrHeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .dist
-            .total_cmp(&self.dist)
-            .then_with(|| other.node.cmp(&self.node))
-    }
-}
-
-impl PartialOrd for CsrHeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen::{uniform_points, UnitDiskBuilder};
-    use crate::paths::{bfs_hops, dijkstra_lengths};
 
     #[test]
     fn freeze_preserves_structure() {
@@ -341,17 +245,6 @@ mod tests {
         let pts = uniform_points(80, 120.0, 9);
         let g = UnitDiskBuilder::new(35.0).build(&pts);
         assert_eq!(g.freeze().thaw(), g);
-    }
-
-    #[test]
-    fn csr_searches_match_graph_searches() {
-        let pts = uniform_points(100, 160.0, 3);
-        let g = UnitDiskBuilder::new(45.0).build(&pts);
-        let c = g.freeze();
-        for src in [0, 17, 99] {
-            assert_eq!(c.bfs_hops(src), bfs_hops(&g, src));
-            assert_eq!(c.dijkstra_lengths(src), dijkstra_lengths(&g, src));
-        }
     }
 
     #[test]

@@ -4,27 +4,27 @@
 //! diameter of the unit disk graph (varied through the transmission
 //! radius); these helpers report it.
 
-use rayon::prelude::*;
-
+use crate::paths::{per_worker, reached_hops, reached_length, PathIndex, PathScratch};
 use crate::Graph;
 
 /// The hop diameter: the largest finite hop distance between any pair.
 ///
 /// Returns `None` for graphs with fewer than 2 nodes. Disconnected pairs
 /// are ignored (the diameter of the largest distances that exist). The
-/// graph is frozen to CSR ([`Graph::freeze`]) for the `n` independent
-/// searches; they run in parallel and their maxima are folded serially
-/// in source order.
+/// `n` searches run on the [`paths`](crate::paths) kernel, one
+/// contiguous chunk of sources and one [`PathScratch`] per worker; their
+/// maxima are folded serially in source order.
 pub fn hop_diameter(g: &Graph) -> Option<u32> {
     let n = g.node_count();
     if n < 2 {
         return None;
     }
-    let c = g.freeze();
-    let per_source: Vec<Option<u32>> = (0..n)
-        .into_par_iter()
-        .map(|u| c.bfs_hops(u).into_iter().flatten().max())
-        .collect();
+    let index = PathIndex::new(g);
+    let sources: Vec<usize> = (0..n).collect();
+    let per_source = per_worker(&sources, |scratch: &mut PathScratch, &u, out| {
+        scratch.bfs(&index, u);
+        out.push(scratch.hops().iter().filter_map(|&h| reached_hops(h)).max());
+    });
     per_source.into_iter().flatten().max()
 }
 
@@ -38,21 +38,21 @@ pub fn length_diameter(g: &Graph) -> Option<f64> {
     if n < 2 {
         return None;
     }
-    let c = g.freeze();
-    let per_source: Vec<Option<f64>> = (0..n)
-        .into_par_iter()
-        .map(|u| {
-            let mut best: Option<f64> = None;
-            for d in c.dijkstra_lengths(u).into_iter().flatten() {
-                if best.is_none_or(|b| d > b) {
-                    best = Some(d);
-                }
-            }
-            best
-        })
-        .collect();
+    let index = PathIndex::new(g);
+    let sources: Vec<usize> = (0..n).collect();
+    let per_source = per_worker(&sources, |scratch: &mut PathScratch, &u, out| {
+        scratch.dijkstra(&index, u);
+        out.push(farthest(
+            scratch.lengths().iter().filter_map(|&d| reached_length(d)),
+        ));
+    });
+    farthest(per_source.into_iter().flatten())
+}
+
+/// The largest of `lengths`, or `None` when there are none.
+fn farthest(lengths: impl Iterator<Item = f64>) -> Option<f64> {
     let mut best: Option<f64> = None;
-    for d in per_source.into_iter().flatten() {
+    for d in lengths {
         if best.is_none_or(|b| d > b) {
             best = Some(d);
         }

@@ -6,8 +6,7 @@
 //! Table I and Figures 9/11 report the average and maximum of these ratios
 //! over node pairs; this module computes them.
 
-use rayon::prelude::*;
-
+use crate::paths::{per_worker, reached_hops, reached_length, PathIndex, PathScratch};
 use crate::Graph;
 
 /// Options controlling which node pairs enter the stretch statistics.
@@ -61,14 +60,16 @@ pub struct StretchReport {
 /// [`disconnected_pairs`](StretchReport::disconnected_pairs) and excluded
 /// from the ratios.
 ///
-/// Runs one BFS and one Dijkstra per node and graph: `O(n · m log n)`.
-/// Both graphs are first frozen to CSR ([`Graph::freeze`]) so the `2n`
-/// independent searches scan flat `u32` adjacency instead of chasing
-/// `Vec<Vec<usize>>`; freezing preserves neighbor order exactly, so the
-/// report is bit-identical to the unfrozen computation. Sources are
-/// processed in parallel; the per-source partial statistics are folded
-/// serially in source order, so the report is also bit-identical for
-/// every thread count, including `RAYON_NUM_THREADS=1`.
+/// Runs one BFS and one Dijkstra per node and graph: `O(n · m log n)`,
+/// on the [`paths`](crate::paths) kernel — one [`PathIndex`] per graph
+/// and one [`PathScratch`] per graph and worker, so the `4n` searches
+/// allocate nothing after each worker's first. Their rows are
+/// bit-identical to [`bfs_hops`](crate::paths::bfs_hops) and
+/// [`dijkstra_lengths`](crate::paths::dijkstra_lengths). Sources are
+/// split into one contiguous chunk per worker; the per-source partial
+/// statistics are folded serially in source order, so the report is
+/// bit-identical for every thread count, including
+/// `RAYON_NUM_THREADS=1`.
 ///
 /// # Panics
 /// Panics if the graphs have different node counts.
@@ -106,20 +107,25 @@ pub fn stretch_factors(base: &Graph, sub: &Graph, opts: StretchOptions) -> Stret
         disconnected_pairs: usize,
     }
 
-    let cbase = base.freeze();
-    let csub = sub.freeze();
-    let partials: Vec<SourcePartial> = (0..n)
-        .into_par_iter()
-        .map(|u| {
-            let base_len = cbase.dijkstra_lengths(u);
-            let base_hop = cbase.bfs_hops(u);
-            let sub_len = csub.dijkstra_lengths(u);
-            let sub_hop = csub.bfs_hops(u);
+    let ibase = PathIndex::new(base);
+    let isub = PathIndex::new(sub);
+    let sources: Vec<usize> = (0..n).collect();
+    let partials = per_worker(
+        &sources,
+        |(bs, ss): &mut (PathScratch, PathScratch), &u, out| {
+            bs.bfs(&ibase, u);
+            bs.dijkstra(&ibase, u);
+            ss.bfs(&isub, u);
+            ss.dijkstra(&isub, u);
             let mut p = SourcePartial::default();
             for v in u + 1..n {
-                let Some(bl) = base_len[v] else { continue };
-                let bh = base_hop[v].expect("hop- and length-reachability agree");
-                let (Some(sl), Some(sh)) = (sub_len[v], sub_hop[v]) else {
+                let Some(bl) = reached_length(bs.lengths()[v]) else {
+                    continue;
+                };
+                let bh = reached_hops(bs.hops()[v]).expect("hop- and length-reachability agree");
+                let (Some(sl), Some(sh)) =
+                    (reached_length(ss.lengths()[v]), reached_hops(ss.hops()[v]))
+                else {
                     p.disconnected_pairs += 1;
                     continue;
                 };
@@ -140,9 +146,9 @@ pub fn stretch_factors(base: &Graph, sub: &Graph, opts: StretchOptions) -> Stret
                     }
                 }
             }
-            p
-        })
-        .collect();
+            out.push(p);
+        },
+    );
 
     // Serial fold in source order: deterministic regardless of thread count.
     let mut report = StretchReport::default();

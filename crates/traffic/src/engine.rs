@@ -17,7 +17,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use geospan_graph::paths::DistanceOracle;
+use geospan_graph::paths::pair_distances;
 use geospan_graph::Graph;
 use geospan_sim::{ChurnPlan, FaultPlan, OverloadConfig, ReliabilityConfig};
 
@@ -800,7 +800,15 @@ pub(crate) fn aggregate(udg: &Graph, cores: Vec<ShardCore<'_>>) -> TrafficOutcom
     let mut drops = DropCounts::default();
     let mut refused = 0usize;
     let mut latencies: Vec<u64> = Vec::new();
-    let mut oracle = DistanceOracle::new(udg);
+    // The stretch baseline: shortest paths of every delivered pair, in
+    // one batched pass and in slot order, consumed by the loop below.
+    let pairs: Vec<(usize, usize)> = slots
+        .iter()
+        .flatten()
+        .filter(|rec| rec.delivered() && rec.src != rec.dst)
+        .map(|rec| (rec.src, rec.dst))
+        .collect();
+    let mut baseline = pair_distances(udg, &pairs).into_iter();
     let mut hop_stretch_sum = 0.0;
     let mut hop_stretch_max = 0.0f64;
     let mut len_stretch_sum = 0.0;
@@ -819,10 +827,9 @@ pub(crate) fn aggregate(udg: &Graph, cores: Vec<ShardCore<'_>>) -> TrafficOutcom
                     // home-position UDG; a pair the baseline does not
                     // connect (yet the evolving topology delivered)
                     // has no defined stretch and is skipped.
-                    let (Some(best_hops), Some(best_len)) = (
-                        oracle.hops(rec.src, rec.dst),
-                        oracle.length(rec.src, rec.dst),
-                    ) else {
+                    let (Some(best_hops), Some(best_len)) =
+                        baseline.next().expect("one baseline per delivered pair")
+                    else {
                         records.push(rec);
                         continue;
                     };
