@@ -296,7 +296,11 @@ fn skip_string(b: &[u8], open: usize) -> (usize, u32) {
     let mut newlines = 0u32;
     while j < b.len() {
         match b[j] {
-            b'\\' => j += 2,
+            b'\\' => {
+                // A `\` line continuation still ends a source line.
+                newlines += u32::from(b.get(j + 1) == Some(&b'\n'));
+                j += 2;
+            }
             b'\n' => {
                 newlines += 1;
                 j += 1;

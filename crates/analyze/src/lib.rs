@@ -5,15 +5,16 @@
 //! byte-identical across runs and thread counts. That property is easy
 //! to break silently: one `HashMap` iteration feeding an output, one
 //! `partial_cmp().unwrap()` comparator meeting a NaN, one wall-clock
-//! read in a measurement path. This crate is a dependency-free,
-//! token-level static pass over the workspace's own source that turns
-//! those conventions into named, enforced lint rules — see
+//! read in a measurement path. Clippy enforces the conventions it can
+//! express with type information (root `clippy.toml` and
+//! `[workspace.lints]`). This crate is a dependency-free, token-level
+//! static pass over the workspace's own source for the rest — see
 //! [`rules::RULES`] and DESIGN.md §13.
 //!
 //! The pass is layered: [`lexer`] (tokens + directives) → [`parser`]
 //! (item tree: fns with bodies, enums, structs, match arms, attribute
 //! regions) → rule passes — per-file token rules in [`rules`]
-//! (D01–D07, D11, A00) and cross-file coupling rules in [`xrules`]
+//! (D01, D05, D06, A00) and cross-file coupling rules in [`xrules`]
 //! (D08–D10), which see the whole workspace at once.
 //!
 //! Suppression is always *with a reason*: inline
@@ -201,7 +202,7 @@ mod tests {
     #[test]
     fn json_output_escapes_quotes_and_backslashes() {
         let f = Finding {
-            rule: "D04",
+            rule: "D01",
             path: "src/a.rs".to_string(),
             line: 3,
             snippet: "x.expect(\"a\\b\")".to_string(),

@@ -1,6 +1,6 @@
 //! A lightweight structural layer over the token lexer.
 //!
-//! The cross-file rules (D08–D11) need more than token patterns: they
+//! The cross-file rules (D08–D10) need more than token patterns: they
 //! reason about *items* — which fn a token lives in, which variants an
 //! enum declares, which arms a match covers. This module recovers that
 //! item tree from the token stream with brace matching. It is not a
@@ -78,9 +78,6 @@ pub struct ParsedFile {
     pub matches: Vec<MatchExpr>,
     /// Lines covered by `#[test]` / `#[cfg(test)]` items.
     pub test_lines: BTreeSet<u32>,
-    /// Lines covered by `#[cfg(feature = "invariant-checks")]` items
-    /// and statements (the D11 panic-policy exemption).
-    pub invariant_lines: BTreeSet<u32>,
     /// Trimmed source lines, for finding snippets (baseline keys).
     lines: Vec<String>,
 }
@@ -111,7 +108,7 @@ impl ParsedFile {
 /// Lexes and structurally indexes one file.
 pub fn parse(path: &str, src: &str) -> ParsedFile {
     let lexed = lex(src);
-    let (test_lines, invariant_lines) = attr_regions(&lexed.tokens);
+    let test_lines = test_regions(&lexed.tokens);
     let mut pf = ParsedFile {
         path: path.to_string(),
         lexed,
@@ -120,7 +117,6 @@ pub fn parse(path: &str, src: &str) -> ParsedFile {
         structs: Vec::new(),
         matches: Vec::new(),
         test_lines,
-        invariant_lines,
         lines: src.lines().map(|l| l.trim().to_string()).collect(),
     };
     let toks = &pf.lexed.tokens;
@@ -453,15 +449,11 @@ fn parse_match(toks: &[Tok], kw: usize) -> Option<MatchExpr> {
     })
 }
 
-/// Lines covered by test attributes and by
-/// `#[cfg(feature = "invariant-checks")]` attributes.
-///
-/// Both scans share the mechanism: find `#[...]`, classify it, then
-/// extend the region over the next item — the matching `}` of its
-/// first depth-0 `{`, or a `;` arriving first.
-fn attr_regions(toks: &[Tok]) -> (BTreeSet<u32>, BTreeSet<u32>) {
+/// Lines covered by `#[test]` / `#[cfg(test)]` attributes: find `#[...]`,
+/// classify it, then extend the region over the next item — the matching
+/// `}` of its first depth-0 `{`, or a `;` arriving first.
+fn test_regions(toks: &[Tok]) -> BTreeSet<u32> {
     let mut test = BTreeSet::new();
-    let mut invariant = BTreeSet::new();
     let mut i = 0usize;
     while i < toks.len() {
         if toks[i].text != "#" || toks.get(i + 1).map(|t| t.text.as_str()) != Some("[") {
@@ -484,9 +476,7 @@ fn attr_regions(toks: &[Tok]) -> (BTreeSet<u32>, BTreeSet<u32>) {
         }
         let is_test =
             attr.first() == Some(&"test") || (attr.contains(&"cfg") && attr.contains(&"test"));
-        let is_invariant =
-            attr.contains(&"cfg") && attr.iter().any(|t| t.contains("invariant-checks"));
-        if is_test || is_invariant {
+        if is_test {
             let start_line = toks[i].line;
             let mut k = j;
             let mut bdepth = 0usize;
@@ -510,16 +500,11 @@ fn attr_regions(toks: &[Tok]) -> (BTreeSet<u32>, BTreeSet<u32>) {
                 end_line = toks[k].line;
                 k += 1;
             }
-            if is_test {
-                test.extend(start_line..=end_line);
-            }
-            if is_invariant {
-                invariant.extend(start_line..=end_line);
-            }
+            test.extend(start_line..=end_line);
         }
         i = j;
     }
-    (test, invariant)
+    test
 }
 
 #[cfg(test)]
@@ -613,19 +598,13 @@ mod tests {
     }
 
     #[test]
-    fn invariant_regions_cover_attributed_items() {
-        let src = "#[cfg(feature = \"invariant-checks\")]\nfn check(&self) {\n    panic!(\"bad\");\n}\nfn live() {}\n";
-        let pf = parse("f.rs", src);
-        assert!(pf.invariant_lines.contains(&3));
-        assert!(!pf.invariant_lines.contains(&5));
-        assert!(pf.test_lines.is_empty());
-    }
-
-    #[test]
     fn test_regions_still_found() {
         let src = "#[cfg(test)]\nmod tests {\n    fn helper() { panic!(\"test only\"); }\n}\nfn live() {}\n";
         let pf = parse("f.rs", src);
         assert!(pf.in_test(3));
         assert!(!pf.in_test(5));
+        // Other cfg attributes open no test region.
+        let src = "#[cfg(feature = \"invariant-checks\")]\nfn check() {\n    panic!(\"bad\");\n}\n";
+        assert!(parse("f.rs", src).test_lines.is_empty());
     }
 }

@@ -1,9 +1,11 @@
-//! The per-file lint rules (D01–D07, D11) plus directive hygiene (A00).
+//! The per-file lint rules (D01, D05, D06) plus directive hygiene (A00).
 //!
 //! Every rule is a token-pattern check over the [`crate::lexer`] output,
-//! scoped by the structural regions the [`crate::parser`] recovers
-//! (test items, `invariant-checks` items). The cross-file rules
-//! (D08–D10) live in [`crate::xrules`]. The rules are deliberately
+//! scoped by the test regions the [`crate::parser`] recovers. The
+//! cross-file rules (D08–D10) live in [`crate::xrules`]. Rules that
+//! clippy can express with type information (the old D02, D03, D04, D07
+//! and D11, and D09's ban list) are clippy lints configured in the root
+//! `clippy.toml` and `[workspace.lints]` — see DESIGN.md §13. The rules are deliberately
 //! conservative heuristics: they know nothing about types, only about
 //! names and shapes — which is exactly what the project's conventions
 //! are written in terms of. False positives are handled by inline
@@ -16,7 +18,7 @@ use crate::parser::{parse, ParsedFile};
 /// A single lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule id (`D01`..`D11`, `A00`).
+    /// Rule id (`D01`..`D10`, `A00`).
     pub rule: &'static str,
     /// Workspace-relative path, forward slashes.
     pub path: String,
@@ -32,7 +34,7 @@ pub struct Finding {
 /// rationale behind `--explain <RULE>`.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleInfo {
-    /// Rule id (`D01`..`D11`, `A00`).
+    /// Rule id (`D01`..`D10`, `A00`).
     pub id: &'static str,
     /// One-line summary of what the rule matches.
     pub summary: &'static str,
@@ -62,32 +64,6 @@ pub const RULES: &[RuleInfo] = &[
                     and rarely — the worst kind of bug to bisect.",
     },
     RuleInfo {
-        id: "D02",
-        summary: "wall-clock / OS-entropy / raw-thread API (Instant::now, SystemTime, \
-                  thread_rng, std::thread::spawn): nondeterministic outside the sim clock \
-                  and the rayon stub",
-        rationale: "The simulator owns time (ticks) and randomness (seeded RNGs). Wall \
-                    clocks and OS entropy smuggle the host into the simulation, making \
-                    runs unreproducible; raw thread spawns reorder events. Measurement \
-                    code uses the bench harness's clock, never the library's.",
-    },
-    RuleInfo {
-        id: "D03",
-        summary: "partial_cmp(..).unwrap()/expect() float comparator: panics on NaN and \
-                  invites inconsistent orderings; use f64::total_cmp",
-        rationale: "A partial order resolved with unwrap() is a latent panic (NaN) and a \
-                    latent nondeterminism (sort implementations may compare in different \
-                    orders). f64::total_cmp is total, stable, and free.",
-    },
-    RuleInfo {
-        id: "D04",
-        summary: "bare .unwrap() in non-test code: panics without a recorded reason; use \
-                  expect(\"why\") or an allow directive",
-        rationale: "Every panic path in library code is a claim that the state is \
-                    impossible. expect(\"why\") records the claim so the panic message \
-                    carries it; a bare unwrap() records nothing and reads as an oversight.",
-    },
-    RuleInfo {
         id: "D05",
         summary: "float accumulation through a parallel iterator (sum/fold/reduce after \
                   par_iter): reduction order depends on the scheduler; fold serially in a \
@@ -110,17 +86,6 @@ pub const RULES: &[RuleInfo] = &[
                     swap is behavior-preserving.",
     },
     RuleInfo {
-        id: "D07",
-        summary: "raw threading primitive (std::thread, Barrier, Condvar, mpsc channels) \
-                  outside the sharded engine driver: bit-identical results are only \
-                  proven for the barrier protocol in crates/traffic/src/shard.rs; \
-                  everything else parallelizes through the rayon facade",
-        rationale: "The shard driver's two-barrier round protocol carries the \
-                    determinism proof (DESIGN.md §11). Any other thread coordination \
-                    would need its own proof; until one exists, raw primitives anywhere \
-                    else are presumed to reorder events.",
-    },
-    RuleInfo {
         id: "D08",
         summary: "DropCause ledger coupling: every variant needs a DropCounts field, an \
                   accounting site in engine.rs/shard.rs, and a drops.<field> CSV column \
@@ -134,9 +99,9 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "D09",
-        summary: "RNG seed taint: from_entropy/thread_rng/rand::random banned; \
-                  seed_from_u64/from_seed arguments must be a named seed, a literal, or \
-                  a fn parameter that provably receives one (one level of indirection)",
+        summary: "RNG seed taint: seed_from_u64/from_seed arguments must be a named seed, \
+                  a literal, or a fn parameter that provably receives one (one level of \
+                  indirection)",
         rationale: "Bit-identical replay requires every RNG to be a pure function of \
                     configuration. An RNG seeded from OS entropy — or from a helper \
                     parameter nobody can trace back to a seed — makes a run \
@@ -156,24 +121,7 @@ pub const RULES: &[RuleInfo] = &[
                     or thread count could observe a different interleaving. The rule \
                     makes the proof's premise structural.",
     },
-    RuleInfo {
-        id: "D11",
-        summary: "panic!/unreachable!/todo!/unimplemented! in non-test library code must \
-                  be inside a #[cfg(feature = \"invariant-checks\")] item or carry an \
-                  allow directive (bin targets exempt)",
-        rationale: "A production engine serving traffic must degrade, not abort: panics \
-                    in library code are reserved for the invariant-checks build, where \
-                    hard assertions are the point. Everything else either returns an \
-                    error or documents — via the allow directive's reason — why the \
-                    state is truly impossible. CLI binaries may panic on bad arguments; \
-                    that is their error reporting.",
-    },
 ];
-
-/// Files allowed to use raw threading primitives (rule D07): the
-/// sharded traffic engine's driver, whose two-barrier round protocol
-/// carries the determinism proof (see DESIGN.md §11).
-const D07_EXEMPT: &[&str] = &["crates/traffic/src/shard.rs"];
 
 /// Crates whose construction hot path is arena-backed (rule D06). Paths
 /// are workspace-relative with forward slashes; `src/` excludes the
@@ -253,13 +201,8 @@ pub fn check_file(pf: &ParsedFile) -> Vec<Finding> {
     let in_test = |line: u32| pf.in_test(line);
 
     rule_d01(toks, &in_test, &mut emit);
-    rule_d02(toks, &in_test, &mut emit);
-    rule_d03(toks, &in_test, &mut emit);
-    rule_d04(toks, &in_test, &mut emit);
     rule_d05(toks, &in_test, &mut emit);
     rule_d06(&pf.path, toks, &in_test, &mut emit);
-    rule_d07(&pf.path, toks, &in_test, &mut emit);
-    rule_d11(pf, &mut emit);
 
     findings
 }
@@ -508,107 +451,6 @@ fn chain_is_order_free(toks: &[Tok], mut pos: usize) -> bool {
     }
 }
 
-/// D02 — wall clock, OS entropy, raw threads.
-fn rule_d02(
-    toks: &[Tok],
-    in_test: &dyn Fn(u32) -> bool,
-    emit: &mut dyn FnMut(&'static str, u32, String),
-) {
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || in_test(t.line) {
-            continue;
-        }
-        let flagged = match t.text.as_str() {
-            "Instant" | "SystemTime" => true,
-            "thread_rng" => true,
-            "spawn" => {
-                i >= 2 && toks[i - 1].text == ":" && toks[i - 2].text == ":" && {
-                    toks.get(i.wrapping_sub(3)).map(|t| t.text.as_str()) == Some("thread")
-                }
-            }
-            _ => false,
-        };
-        if flagged {
-            emit(
-                "D02",
-                t.line,
-                format!(
-                    "`{}` is nondeterministic (wall clock / OS entropy / raw threads); \
-                     use the sim clock, seeded RNGs, or the rayon stub",
-                    t.text
-                ),
-            );
-        }
-    }
-}
-
-/// D03 — `partial_cmp` comparators resolved with `unwrap`/`expect`.
-fn rule_d03(
-    toks: &[Tok],
-    in_test: &dyn Fn(u32) -> bool,
-    emit: &mut dyn FnMut(&'static str, u32, String),
-) {
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || t.text != "partial_cmp" || in_test(t.line) {
-            continue;
-        }
-        // Skip the `fn partial_cmp` of a PartialOrd impl.
-        if i > 0 && toks[i - 1].text == "fn" {
-            continue;
-        }
-        // Scan the rest of the statement for unwrap/expect.
-        let mut depth = 0i32;
-        for u in toks.iter().skip(i + 1).take(80) {
-            match u.text.as_str() {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => {
-                    depth -= 1;
-                    if depth < -1 {
-                        break;
-                    }
-                }
-                ";" if depth <= 0 => break,
-                "unwrap" | "expect" if u.kind == TokKind::Ident => {
-                    emit(
-                        "D03",
-                        t.line,
-                        "float comparator via partial_cmp().unwrap()/expect(): NaN panics \
-                         and the ordering is not total; use f64::total_cmp"
-                            .to_string(),
-                    );
-                    break;
-                }
-                _ => {}
-            }
-        }
-    }
-}
-
-/// D04 — bare `.unwrap()` without a recorded reason.
-fn rule_d04(
-    toks: &[Tok],
-    in_test: &dyn Fn(u32) -> bool,
-    emit: &mut dyn FnMut(&'static str, u32, String),
-) {
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || t.text != "unwrap" || in_test(t.line) {
-            continue;
-        }
-        let dotted = i > 0 && toks[i - 1].text == ".";
-        let called = toks.get(i + 1).map(|t| t.text.as_str()) == Some("(")
-            && toks.get(i + 2).map(|t| t.text.as_str()) == Some(")");
-        if dotted && called {
-            emit(
-                "D04",
-                t.line,
-                "bare .unwrap() in non-test code: record the reason with expect(\"...\") \
-                 or an allow directive"
-                    .to_string(),
-            );
-        }
-    }
-}
-
 /// D05 — order-sensitive reduction on a parallel iterator chain.
 fn rule_d05(
     toks: &[Tok],
@@ -690,82 +532,5 @@ fn rule_d06(
                 ),
             );
         }
-    }
-}
-
-/// D07 — raw threading primitives outside the blessed shard driver.
-/// Matches the `std::thread` module path (`thread ::` — scope, spawn,
-/// sleep, builders) and the synchronization idents `Barrier`,
-/// `Condvar`, and `mpsc`. `Mutex`/`Arc` alone are not flagged: without
-/// threads to race they cannot reorder anything.
-fn rule_d07(
-    path: &str,
-    toks: &[Tok],
-    in_test: &dyn Fn(u32) -> bool,
-    emit: &mut dyn FnMut(&'static str, u32, String),
-) {
-    if D07_EXEMPT.contains(&path) {
-        return;
-    }
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || in_test(t.line) {
-            continue;
-        }
-        let flagged = match t.text.as_str() {
-            "Barrier" | "Condvar" | "mpsc" => true,
-            "thread" => {
-                toks.get(i + 1).map(|u| u.text.as_str()) == Some(":")
-                    && toks.get(i + 2).map(|u| u.text.as_str()) == Some(":")
-            }
-            _ => false,
-        };
-        if flagged {
-            emit(
-                "D07",
-                t.line,
-                format!(
-                    "`{}` is a raw threading primitive: deterministic parallelism lives in \
-                     the sharded engine driver (crates/traffic/src/shard.rs) or behind the \
-                     rayon facade; anything else reorders events",
-                    t.text
-                ),
-            );
-        }
-    }
-}
-
-/// Panicking macros in scope for rule D11.
-const D11_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
-
-/// D11 — panic policy. Panicking macros in non-test library code must
-/// sit inside a `#[cfg(feature = "invariant-checks")]` item (where hard
-/// assertions are the point) or carry an allow directive recording why
-/// the state is impossible. Binary targets (`src/bin/`, `main.rs`) are
-/// exempt: a CLI panicking on bad arguments is its error reporting.
-fn rule_d11(pf: &ParsedFile, emit: &mut dyn FnMut(&'static str, u32, String)) {
-    if pf.path.contains("/bin/") || pf.path.ends_with("/main.rs") || pf.path == "main.rs" {
-        return;
-    }
-    let toks = &pf.lexed.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || !D11_MACROS.contains(&t.text.as_str()) {
-            continue;
-        }
-        if toks.get(i + 1).map(|u| u.text.as_str()) != Some("!") {
-            continue;
-        }
-        if pf.in_test(t.line) || pf.invariant_lines.contains(&t.line) {
-            continue;
-        }
-        emit(
-            "D11",
-            t.line,
-            format!(
-                "`{}!` in non-test library code: gate it behind \
-                 #[cfg(feature = \"invariant-checks\")], return an error, or record why \
-                 the state is impossible with an allow(D11, ...) directive",
-                t.text
-            ),
-        );
     }
 }

@@ -57,11 +57,11 @@ mod tests {
 
     fn finding() -> Finding {
         Finding {
-            rule: "D04",
+            rule: "D01",
             path: "crates/x/src/lib.rs".to_string(),
             line: 7,
-            snippet: "x.unwrap();".to_string(),
-            message: "bare .unwrap()".to_string(),
+            snippet: "for x in &set {".to_string(),
+            message: "`for` over hash collection `set`".to_string(),
         }
     }
 
@@ -74,15 +74,15 @@ mod tests {
         for r in RULES {
             assert!(doc.contains(&format!("\"id\": \"{}\"", r.id)), "{}", r.id);
         }
-        assert!(doc.contains("\"ruleId\": \"D04\""));
+        assert!(doc.contains("\"ruleId\": \"D01\""));
         assert!(doc.contains("\"uri\": \"crates/x/src/lib.rs\""));
         assert!(doc.contains("\"startLine\": 7"));
-        // ruleIndex points at the driver table position of D04.
-        let d04 = RULES
+        // ruleIndex points at the driver table position of D01.
+        let d01 = RULES
             .iter()
-            .position(|r| r.id == "D04")
-            .expect("D04 listed");
-        assert!(doc.contains(&format!("\"ruleIndex\": {d04}")));
+            .position(|r| r.id == "D01")
+            .expect("D01 listed");
+        assert!(doc.contains(&format!("\"ruleIndex\": {d01}")));
     }
 
     #[test]

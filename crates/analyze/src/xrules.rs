@@ -230,52 +230,18 @@ fn check_d08(files: &[ParsedFile], out: &mut Vec<Finding>) {
     }
 }
 
-/// D09 — RNG seed taint. `from_entropy` / `thread_rng` / `rand::random`
-/// are banned outright; `seed_from_u64` / `from_seed` arguments must be
-/// a named seed (ident containing "seed"), a literal constant, or a fn
-/// parameter whose every call site passes one (one level of
-/// indirection).
+/// D09 — RNG seed taint. `seed_from_u64` / `from_seed` arguments must
+/// be a named seed (ident containing "seed"), a literal constant, or a
+/// fn parameter whose every call site passes one (one level of
+/// indirection). The OS-entropy entry points themselves are banned by
+/// clippy's `disallowed_methods`.
 fn check_d09(files: &[ParsedFile], out: &mut Vec<Finding>) {
     for pf in files {
         let toks = &pf.lexed.tokens;
         for (i, t) in toks.iter().enumerate() {
-            if t.kind != TokKind::Ident || pf.in_test(t.line) {
-                continue;
-            }
-            match t.text.as_str() {
-                "from_entropy" | "thread_rng" => {
-                    emit(
-                        out,
-                        "D09",
-                        pf,
-                        t.line,
-                        format!(
-                            "`{}` draws OS entropy: every RNG must be constructed \
-                             from a named seed so runs replay bit-identically",
-                            t.text
-                        ),
-                    );
-                }
-                "random"
-                    if i >= 3
-                        && toks[i - 1].text == ":"
-                        && toks[i - 2].text == ":"
-                        && toks[i - 3].text == "rand" =>
-                {
-                    emit(
-                        out,
-                        "D09",
-                        pf,
-                        t.line,
-                        "`rand::random` draws from the thread-local OS-seeded RNG; \
-                         construct a seeded RNG instead"
-                            .to_string(),
-                    );
-                }
-                ctor if D09_SEED_CTORS.contains(&ctor) => {
-                    check_seed_arg(files, pf, i, out);
-                }
-                _ => {}
+            let ctor = t.kind == TokKind::Ident && D09_SEED_CTORS.contains(&t.text.as_str());
+            if ctor && !pf.in_test(t.line) {
+                check_seed_arg(files, pf, i, out);
             }
         }
     }

@@ -3,6 +3,12 @@
 //! Each rule gets at least one source string it must flag and one
 //! shaped-alike string it must not, plus coverage for the two
 //! suppression channels (inline allow directives, baseline entries).
+//! The rules handed to clippy keep their fixtures at the end of this
+//! file, linted by clippy under the workspace's own configuration.
+
+use std::fs;
+use std::path::Path;
+use std::process::Command;
 
 use geospan_analyze::{analyze_sources, check_source, Baseline, Finding};
 
@@ -88,114 +94,6 @@ fn d01_collect_back_into_a_set_is_order_free() {
 use std::collections::{BTreeSet, HashSet};
 pub fn ok(s: HashSet<u32>) -> BTreeSet<u32> {
     s.into_iter().collect::<BTreeSet<u32>>()
-}
-"#;
-    assert_eq!(rules_hit(src), Vec::<&str>::new());
-}
-
-// ---------------------------------------------------------------- D02
-
-#[test]
-fn d02_flags_instant_systemtime_thread_rng_and_raw_spawn() {
-    let src = r#"
-pub fn bad() {
-    let _t = std::time::Instant::now();
-    let _s = std::time::SystemTime::now();
-    let _r = rand::thread_rng();
-    let _h = std::thread::spawn(|| 1);
-}
-"#;
-    let findings = check_source("fixture.rs", src);
-    let d02 = findings.iter().filter(|f| f.rule == "D02").count();
-    assert_eq!(d02, 4, "{findings:?}");
-}
-
-#[test]
-fn d02_ignores_sim_clock_and_test_code() {
-    let src = r#"
-pub fn ok(clock: u64) -> u64 {
-    clock + 1
-}
-
-#[test]
-fn timing_in_tests_is_fine() {
-    let _t = std::time::Instant::now();
-}
-"#;
-    assert_eq!(rules_hit(src), Vec::<&str>::new());
-}
-
-// ---------------------------------------------------------------- D03
-
-#[test]
-fn d03_flags_partial_cmp_unwrap_and_expect() {
-    let src = r#"
-pub fn sortit(v: &mut Vec<f64>) {
-    v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-}
-pub fn sortit2(v: &mut Vec<f64>) {
-    v.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
-}
-"#;
-    let findings = check_source("fixture.rs", src);
-    let d03 = findings.iter().filter(|f| f.rule == "D03").count();
-    assert_eq!(d03, 2, "{findings:?}");
-}
-
-#[test]
-fn d03_ignores_total_cmp_and_partial_ord_impls() {
-    let src = r#"
-use std::cmp::Ordering;
-pub struct E(f64);
-impl PartialOrd for E {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.0.total_cmp(&other.0))
-    }
-}
-pub fn sortit(v: &mut Vec<f64>) {
-    v.sort_by(|a, b| a.total_cmp(b));
-}
-"#;
-    // The bare `.unwrap()`-free source must not trip D03; the
-    // PartialOrd impl's own `fn partial_cmp` is exempt.
-    assert_eq!(rules_hit(src), Vec::<&str>::new());
-}
-
-// ---------------------------------------------------------------- D04
-
-#[test]
-fn d04_flags_bare_unwrap_but_not_expect() {
-    let src = r#"
-pub fn bad(x: Option<u32>) -> u32 {
-    x.unwrap()
-}
-pub fn ok(x: Option<u32>) -> u32 {
-    x.expect("caller guarantees Some")
-}
-"#;
-    let findings = check_source("fixture.rs", src);
-    assert_eq!(findings.len(), 1, "{findings:?}");
-    assert_eq!(findings[0].rule, "D04");
-    assert_eq!(findings[0].snippet, "x.unwrap()");
-}
-
-#[test]
-fn d04_ignores_unwrap_in_test_functions() {
-    let src = r#"
-#[test]
-fn unwrap_is_fine_in_tests() {
-    let x: Option<u32> = Some(1);
-    assert_eq!(x.unwrap(), 1);
-}
-"#;
-    assert_eq!(rules_hit(src), Vec::<&str>::new());
-}
-
-#[test]
-fn d04_ignores_unwrap_or_variants() {
-    let src = r#"
-pub fn ok(x: Option<u32>) -> u32 {
-    x.unwrap_or(0) + x.unwrap_or_default() + x.unwrap_or_else(|| 2)
 }
 "#;
     assert_eq!(rules_hit(src), Vec::<&str>::new());
@@ -292,84 +190,13 @@ pub struct NodeState {
     assert!(check_source("crates/graph/src/fixture.rs", src).is_empty());
 }
 
-// ---------------------------------------------------------------- D07
-
-#[test]
-fn d07_flags_raw_threading_primitives() {
-    let src = r#"
-use std::sync::Barrier;
-pub fn bad(n: usize) -> u32 {
-    let b = Barrier::new(n);
-    let (tx, rx) = std::sync::mpsc::channel::<u32>();
-    std::thread::scope(|s| {
-        s.spawn(|| {
-            b.wait();
-            tx.send(1).expect("receiver lives");
-        });
-    });
-    rx.recv().expect("sender sent")
-}
-"#;
-    let findings = check_source("crates/sim/src/fixture.rs", src);
-    let d07 = findings.iter().filter(|f| f.rule == "D07").count();
-    // `Barrier` twice (use + construction), `mpsc`, `thread::`.
-    assert_eq!(d07, 4, "{findings:?}");
-}
-
-#[test]
-fn d07_exempts_the_shard_driver_and_test_code() {
-    let src = r#"
-pub fn drive() {
-    std::thread::scope(|_s| {});
-}
-"#;
-    // The sharded engine driver carries the determinism proof.
-    assert!(check_source("crates/traffic/src/shard.rs", src).is_empty());
-    // The same code anywhere else is flagged.
-    assert_eq!(rules_hit(src), ["D07"]);
-
-    // Threads inside test code are the test harness's business.
-    let src = r#"
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn concurrent_probe() {
-        std::thread::scope(|_s| {});
-    }
-}
-"#;
-    assert_eq!(rules_hit(src), Vec::<&str>::new());
-}
-
-#[test]
-fn d07_ignores_rayon_and_honors_allow_directive() {
-    let src = r#"
-use rayon::prelude::*;
-use std::sync::{Arc, Mutex};
-pub fn ok(v: &[u64]) -> u64 {
-    let m = Arc::new(Mutex::new(0u64));
-    let rows: Vec<u64> = v.par_iter().map(|x| x + 1).collect();
-    *m.lock().expect("no poisoned threads here") + rows.len() as u64
-}
-"#;
-    assert_eq!(rules_hit(src), Vec::<&str>::new());
-
-    let src = r#"
-pub fn cores() -> usize {
-    // geospan-analyze: allow(D07, reading the core count spawns nothing)
-    std::thread::available_parallelism().map_or(1, |p| p.get())
-}
-"#;
-    assert_eq!(rules_hit(src), Vec::<&str>::new());
-}
-
 // ------------------------------------------------- directives and A00
 
 #[test]
 fn allow_directive_on_same_line_suppresses() {
     let src = r#"
-pub fn bad(x: Option<u32>) -> u32 {
-    x.unwrap() // geospan-analyze: allow(D04, fixture demonstrates suppression)
+pub fn bad(m: &HashSet<u32>) -> Vec<u32> {
+    m.iter().copied().collect() // geospan-analyze: allow(D01, fixture demonstrates suppression)
 }
 "#;
     assert_eq!(rules_hit(src), Vec::<&str>::new());
@@ -378,9 +205,9 @@ pub fn bad(x: Option<u32>) -> u32 {
 #[test]
 fn allow_directive_on_preceding_line_suppresses() {
     let src = r#"
-pub fn bad(x: Option<u32>) -> u32 {
-    // geospan-analyze: allow(D04, fixture demonstrates suppression)
-    x.unwrap()
+pub fn bad(m: &HashSet<u32>) -> Vec<u32> {
+    // geospan-analyze: allow(D01, fixture demonstrates suppression)
+    m.iter().copied().collect()
 }
 "#;
     assert_eq!(rules_hit(src), Vec::<&str>::new());
@@ -389,28 +216,28 @@ pub fn bad(x: Option<u32>) -> u32 {
 #[test]
 fn allow_directive_for_wrong_rule_does_not_suppress() {
     let src = r#"
-pub fn bad(x: Option<u32>) -> u32 {
-    // geospan-analyze: allow(D01, wrong rule id)
-    x.unwrap()
+pub fn bad(m: &HashSet<u32>) -> Vec<u32> {
+    // geospan-analyze: allow(D05, wrong rule id)
+    m.iter().copied().collect()
 }
 "#;
-    assert_eq!(rules_hit(src), ["D04"]);
+    assert_eq!(rules_hit(src), ["D01"]);
 }
 
 #[test]
 fn malformed_directive_is_reported_as_a00() {
     // Missing reason.
-    let src = "pub fn f() {} // geospan-analyze: allow(D04)\n";
+    let src = "pub fn f() {} // geospan-analyze: allow(D01)\n";
     assert_eq!(rules_hit(src), ["A00"]);
     // Unknown shape.
-    let src = "pub fn f() {} // geospan-analyze: suppress(D04, reason)\n";
+    let src = "pub fn f() {} // geospan-analyze: suppress(D01, reason)\n";
     assert_eq!(rules_hit(src), ["A00"]);
 }
 
 #[test]
 fn directive_syntax_inside_doc_comments_is_not_parsed() {
     let src = r#"
-//! Mentions `geospan-analyze: allow(D04)` in crate docs.
+//! Mentions `geospan-analyze: allow(D01)` in crate docs.
 
 /// Docs may show `geospan-analyze: allow(broken` without tripping A00.
 pub fn f() {}
@@ -423,22 +250,23 @@ pub fn f() {}
 #[test]
 fn baseline_suppresses_finding_and_flags_stale_entries() {
     let src = r#"
-pub fn bad(x: Option<u32>) -> u32 {
-    x.unwrap()
+pub fn bad(m: &HashSet<u32>) -> Vec<u32> {
+    m.iter().copied().collect()
 }
 "#;
     let findings = check_source("src/legacy.rs", src);
     assert_eq!(findings.len(), 1);
 
     let bl =
-        Baseline::parse("D04\tsrc/legacy.rs\tx.unwrap()\ttriaged legacy site\n").expect("parses");
+        Baseline::parse("D01\tsrc/legacy.rs\tm.iter().copied().collect()\ttriaged legacy site\n")
+            .expect("parses");
     let res = bl.apply(findings.clone());
     assert_eq!(res.suppressed, 1);
     assert!(res.unsuppressed.is_empty());
     assert!(res.stale.is_empty());
 
     // A baseline for code that no longer exists is stale.
-    let bl = Baseline::parse("D04\tsrc/legacy.rs\tgone.unwrap()\told\n").expect("parses");
+    let bl = Baseline::parse("D01\tsrc/legacy.rs\tgone.iter().collect()\told\n").expect("parses");
     let res = bl.apply(findings);
     assert_eq!(res.unsuppressed.len(), 1);
     assert_eq!(res.stale.len(), 1);
@@ -448,7 +276,7 @@ pub fn bad(x: Option<u32>) -> u32 {
 fn violations_inside_string_literals_are_not_flagged() {
     let src = r#"
 pub fn ok() -> &'static str {
-    "for x in &hash_map { x.unwrap() } std::time::Instant::now()"
+    "let m: HashSet<u32> = HashSet::new(); for x in &m {} m.iter().collect::<Vec<_>>()"
 }
 "#;
     assert_eq!(rules_hit(src), Vec::<&str>::new());
@@ -609,19 +437,6 @@ fn d08_is_silent_without_the_anchor_file() {
 // ---------------------------------------------------------------- D09
 
 #[test]
-fn d09_flags_entropy_and_thread_local_rng_sources() {
-    let src = r#"
-pub fn bad() -> u32 {
-    let _rng = StdRng::from_entropy();
-    rand::random()
-}
-"#;
-    let fs = workspace(&[("crates/sim/src/fixture.rs", src)]);
-    let d09 = fs.iter().filter(|f| f.rule == "D09").count();
-    assert_eq!(d09, 2, "{fs:?}");
-}
-
-#[test]
 fn d09_flags_unproven_seed_arguments() {
     // A value with no "seed" in its name and no provable flow.
     let src = r#"
@@ -671,21 +486,6 @@ pub fn make(x: u64) -> StdRng {
 }
 pub fn run(seed: u64) -> (StdRng, StdRng) {
     (make(seed), make(seed + 1))
-}
-"#;
-    let fs = workspace(&[("crates/sim/src/fixture.rs", src)]);
-    assert!(fs.is_empty(), "{fs:?}");
-}
-
-#[test]
-fn d09_ignores_entropy_in_test_code() {
-    let src = r#"
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn entropy_is_fine_in_tests() {
-        let _rng = StdRng::from_entropy();
-    }
 }
 "#;
     let fs = workspace(&[("crates/sim/src/fixture.rs", src)]);
@@ -818,12 +618,121 @@ mod tests {
     assert!(fs.is_empty(), "{fs:?}");
 }
 
-// ---------------------------------------------------------------- D11
+// ----------------------------------------------- rules enforced by clippy
+//
+// D02, D03, D04, D07, D09's ban list and D11 are clippy lints now
+// (root `clippy.toml` plus `[workspace.lints.clippy]`). These tests lint
+// the old rules' fixtures with clippy under the workspace's own config:
+// one scratch crate, one module per test, one clippy run shared by all.
 
-#[test]
-fn d11_flags_panic_and_unreachable_in_library_code() {
-    let src = r#"
-pub fn f(x: u32) -> u32 {
+/// The samples, as `(module, source)`. Line numbers in the assertions
+/// count from the first line of each source.
+const CLIPPY_SAMPLES: &[(&str, &str)] = &[
+    (
+        "d02",
+        "pub fn bad() {
+    let _t = std::time::Instant::now();
+    let _s = std::time::SystemTime::now();
+    let _r = rand::thread_rng();
+    let _h = std::thread::spawn(|| 1);
+}
+",
+    ),
+    (
+        "d03",
+        r#"pub fn sortit(v: &mut [f64]) {
+    v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+}
+pub fn sortit2(v: &mut [f64]) {
+    v.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
+}
+"#,
+    ),
+    (
+        "d03_ok",
+        "use std::cmp::Ordering;
+#[derive(PartialEq)]
+pub struct E(f64);
+impl PartialOrd for E {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.0.total_cmp(&other.0))
+    }
+}
+pub fn sortit(v: &mut [f64]) {
+    v.sort_by(|a, b| a.total_cmp(b));
+}
+",
+    ),
+    (
+        "d04",
+        r#"pub fn bad(x: Option<u32>) -> u32 {
+    x.unwrap()
+}
+pub fn ok(x: Option<u32>) -> u32 {
+    x.expect("caller guarantees Some")
+}
+"#,
+    ),
+    (
+        "d04_test",
+        r#"#[test]
+fn unwrap_is_fine_in_tests() {
+    let x = "1".parse::<u32>().ok();
+    assert_eq!(x.unwrap(), 1);
+}
+"#,
+    ),
+    (
+        "d04_or",
+        "pub fn ok(x: Option<u32>, y: fn() -> u32) -> u32 {
+    x.unwrap_or(0) + x.unwrap_or_default() + x.unwrap_or_else(y)
+}
+",
+    ),
+    (
+        "d07",
+        r#"use std::sync::Barrier;
+pub fn bad(n: usize) -> u32 {
+    let b = Barrier::new(n);
+    let (tx, rx) = std::sync::mpsc::channel::<u32>();
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            b.wait();
+            tx.send(1).expect("receiver lives");
+        });
+    });
+    rx.recv().expect("sender sent")
+}
+"#,
+    ),
+    (
+        "d07_ok",
+        r#"use rayon::prelude::*;
+use std::sync::{Arc, Mutex};
+pub fn ok(v: &[u64]) -> u64 {
+    let m = Arc::new(Mutex::new(0u64));
+    let rows: Vec<u64> = v.par_iter().map(|x| x + 1).collect();
+    let held = *m.lock().expect("no poisoned threads here");
+    held + rows.len() as u64
+}
+pub fn cores() -> usize {
+    #[expect(clippy::disallowed_methods, reason = "reading the core count spawns nothing")]
+    std::thread::available_parallelism().map_or(1, |p| p.get())
+}
+"#,
+    ),
+    (
+        "d09",
+        "use rand::SeedableRng;
+pub fn bad() -> u32 {
+    let _rng = rand::rngs::StdRng::from_entropy();
+    rand::random()
+}
+",
+    ),
+    (
+        "d11",
+        r#"pub fn f(x: u32) -> u32 {
     if x > 10 {
         panic!("too big");
     }
@@ -832,69 +741,225 @@ pub fn f(x: u32) -> u32 {
         _ => x,
     }
 }
-"#;
-    let findings = check_source("crates/core/src/fixture.rs", src);
-    let d11 = findings.iter().filter(|f| f.rule == "D11").count();
-    assert_eq!(d11, 2, "{findings:?}");
-}
-
-#[test]
-fn d11_flags_todo_and_unimplemented() {
-    let src = r#"
-pub fn later() {
+"#,
+    ),
+    (
+        "d11_later",
+        r#"pub fn later() {
     todo!("write this")
 }
 pub fn never() {
     unimplemented!()
 }
-"#;
-    let findings = check_source("crates/core/src/fixture.rs", src);
-    let d11 = findings.iter().filter(|f| f.rule == "D11").count();
-    assert_eq!(d11, 2, "{findings:?}");
-}
+"#,
+    ),
+];
 
-#[test]
-fn d11_exempts_bin_targets_and_test_code() {
-    let src = r#"
-pub fn f() {
-    panic!("usage: pass a subcommand");
+/// Stand-in for the three OS-entropy entry points of the real `rand`,
+/// which the workspace's offline stub does not export.
+const FAKE_RAND: &str = "pub trait SeedableRng: Sized {
+    fn from_entropy() -> Self;
 }
-"#;
-    assert!(check_source("crates/bench/src/bin/tool.rs", src).is_empty());
-    assert!(check_source("src/main.rs", src).is_empty());
-    assert_eq!(rules_hit(src), ["D11"], "library paths still flag");
-
-    let src = r#"
-#[test]
-fn panics_are_how_tests_fail() {
-    panic!("assert failed");
-}
-"#;
-    assert_eq!(rules_hit(src), Vec::<&str>::new());
-}
-
-#[test]
-fn d11_exempts_invariant_gated_code_and_allow_directives() {
-    let src = r#"
-impl Core {
-    #[cfg(feature = "invariant-checks")]
-    fn assert_balanced(&self) {
-        if self.offered != self.delivered {
-            panic!("ledger imbalance");
+pub mod rngs {
+    pub struct StdRng;
+    impl crate::SeedableRng for StdRng {
+        fn from_entropy() -> Self {
+            StdRng
         }
     }
 }
-"#;
-    assert_eq!(rules_hit(src), Vec::<&str>::new());
-
-    let src = r#"
-pub fn f(stage: u8) -> u8 {
-    match stage {
-        1 => 2,
-        // geospan-analyze: allow(D11, stages are validated at parse time)
-        _ => unreachable!(),
-    }
+pub fn thread_rng() -> rngs::StdRng {
+    rngs::StdRng
 }
-"#;
-    assert_eq!(rules_hit(src), Vec::<&str>::new());
+pub fn random<T: Default>() -> T {
+    T::default()
+}
+";
+
+/// What one clippy run over [`CLIPPY_SAMPLES`] reported.
+struct ClippyRun {
+    /// False when clippy (run with `-D warnings`) failed the build.
+    success: bool,
+    /// `(module, 1-based line, lint)`, sorted and deduplicated.
+    hits: Vec<(String, u32, String)>,
+}
+
+/// Writes the sample crate under the test tmpdir, with the lint table
+/// copied from the root manifest, and runs `cargo clippy` on it with
+/// the root `clippy.toml` (once per test binary).
+fn clippy_run() -> &'static ClippyRun {
+    static RUN: std::sync::OnceLock<ClippyRun> = std::sync::OnceLock::new();
+    RUN.get_or_init(|| {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .parent()
+            .and_then(Path::parent)
+            .expect("crates/analyze sits two levels under the workspace root");
+        let manifest = fs::read_to_string(root.join("Cargo.toml")).expect("root manifest");
+        let lints_at = manifest
+            .find("[workspace.lints.clippy]")
+            .expect("root manifest declares [workspace.lints.clippy]");
+        let lints = manifest[lints_at..]
+            .split("\n[")
+            .next()
+            .expect("split yields at least one piece");
+
+        let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("clippy-samples");
+        let write = |rel: &str, text: &str| {
+            let path = dir.join(rel);
+            fs::create_dir_all(path.parent().expect("file paths have a parent")).expect("mkdir");
+            fs::write(path, text).expect("write sample file");
+        };
+        let rayon = root.join("stubs/rayon").display().to_string();
+        write(
+            "Cargo.toml",
+            &format!(
+                "[workspace]\n\n{lints}\n\n[package]\nname = \"clippy-samples\"\nedition = \"2021\"\n\
+                 publish = false\n\n[lints]\nworkspace = true\n\n[dependencies]\n\
+                 rand = {{ path = \"rand\" }}\nrayon = {{ path = {rayon:?} }}\n"
+            ),
+        );
+        write(
+            "rand/Cargo.toml",
+            "[package]\nname = \"rand\"\nedition = \"2021\"\npublish = false\n",
+        );
+        write("rand/src/lib.rs", FAKE_RAND);
+        let mut lib = String::new();
+        for (module, src) in CLIPPY_SAMPLES {
+            lib.push_str(&format!("pub mod {module};\n"));
+            write(&format!("src/{module}.rs"), src);
+        }
+        write("src/lib.rs", &lib);
+
+        let cargo = std::env::var_os("CARGO").unwrap_or_else(|| "cargo".into());
+        let out = Command::new(cargo)
+            .args(["clippy", "--offline", "--all-targets", "--keep-going"])
+            .args(["--message-format=json", "--", "-D", "warnings"])
+            .current_dir(&dir)
+            .env("CARGO_TARGET_DIR", dir.join("target"))
+            .env("CLIPPY_CONF_DIR", root)
+            .output()
+            .expect("cargo clippy runs (the clippy component must be installed)");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let mut hits: Vec<(String, u32, String)> = stdout.lines().filter_map(parse_hit).collect();
+        hits.sort();
+        hits.dedup();
+        let broken: Vec<_> = hits.iter().filter(|h| h.2.starts_with('E')).collect();
+        assert!(broken.is_empty(), "a sample does not compile: {broken:?}");
+        eprintln!("clippy over the migrated-rule samples:");
+        for (module, line, lint) in &hits {
+            eprintln!("  src/{module}.rs:{line}: {lint}");
+        }
+        ClippyRun {
+            success: out.status.success(),
+            hits,
+        }
+    })
+}
+
+/// `(module, line, lint)` from one line of cargo's JSON output, for a
+/// diagnostic with a code whose first span sits in a sample module.
+fn parse_hit(json: &str) -> Option<(String, u32, String)> {
+    let after = |key: &str| json.find(key).map(|at| &json[at + key.len()..]);
+    let lint = after("\"code\":{\"code\":\"")?;
+    let lint = &lint[..lint.find('"')?];
+    let file = after("\"file_name\":\"src/")?;
+    let module = file[..file.find(".rs\"")?].to_string();
+    let line = after("\"line_start\":")?;
+    let line = line[..line.find(',')?].parse().ok()?;
+    Some((module, line, lint.to_string()))
+}
+
+/// The `(line, lint)` hits clippy reported in one sample module.
+fn clippy_hits(module: &str) -> Vec<(u32, String)> {
+    clippy_run()
+        .hits
+        .iter()
+        .filter(|(m, _, _)| m == module)
+        .map(|(_, line, lint)| (*line, lint.clone()))
+        .collect()
+}
+
+fn hits(expected: &[(u32, &str)]) -> Vec<(u32, String)> {
+    expected
+        .iter()
+        .map(|&(l, lint)| (l, lint.to_string()))
+        .collect()
+}
+
+#[test]
+fn d02_flags_instant_systemtime_thread_rng_and_raw_spawn() {
+    assert!(
+        !clippy_run().success,
+        "clippy -D warnings must fail on the samples"
+    );
+    let m = "clippy::disallowed_methods";
+    assert_eq!(clippy_hits("d02"), hits(&[(2, m), (3, m), (4, m), (5, m)]));
+}
+
+#[test]
+fn d03_flags_partial_cmp_unwrap_and_expect() {
+    let m = "clippy::disallowed_methods";
+    let got = clippy_hits("d03");
+    assert_eq!(
+        got,
+        hits(&[(2, m), (2, "clippy::unwrap_used"), (5, m)]),
+        "both comparators are flagged; the bare unwrap also trips unwrap_used"
+    );
+}
+
+#[test]
+fn d03_ignores_total_cmp_and_partial_ord_impls() {
+    assert_eq!(clippy_hits("d03_ok"), hits(&[]));
+}
+
+#[test]
+fn d04_flags_bare_unwrap_but_not_expect() {
+    assert_eq!(clippy_hits("d04"), hits(&[(2, "clippy::unwrap_used")]));
+}
+
+#[test]
+fn d04_ignores_unwrap_in_test_functions() {
+    assert_eq!(clippy_hits("d04_test"), hits(&[]));
+}
+
+#[test]
+fn d04_ignores_unwrap_or_variants() {
+    assert_eq!(clippy_hits("d04_or"), hits(&[]));
+}
+
+#[test]
+fn d07_flags_raw_threading_primitives() {
+    let (m, t) = ("clippy::disallowed_methods", "clippy::disallowed_types");
+    // `Barrier` twice (use + construction), `mpsc::channel`, `thread::scope`.
+    assert_eq!(clippy_hits("d07"), hits(&[(1, t), (3, t), (4, m), (5, m)]));
+}
+
+#[test]
+fn d07_ignores_rayon_and_honors_allow_directive() {
+    // An unfulfilled `expect` would itself be reported.
+    assert_eq!(clippy_hits("d07_ok"), hits(&[]));
+}
+
+#[test]
+fn d09_flags_entropy_and_thread_local_rng_sources() {
+    let m = "clippy::disallowed_methods";
+    assert_eq!(clippy_hits("d09"), hits(&[(3, m), (4, m)]));
+}
+
+#[test]
+fn d11_flags_panic_and_unreachable_in_library_code() {
+    let got = clippy_hits("d11");
+    assert_eq!(
+        got,
+        hits(&[(3, "clippy::panic"), (6, "clippy::unreachable")])
+    );
+}
+
+#[test]
+fn d11_flags_todo_and_unimplemented() {
+    let got = clippy_hits("d11_later");
+    assert_eq!(
+        got,
+        hits(&[(2, "clippy::todo"), (5, "clippy::unimplemented")])
+    );
 }

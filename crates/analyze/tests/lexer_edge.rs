@@ -47,8 +47,20 @@ fn raw_byte_string_and_multiline_raw_string_track_lines() {
 }
 
 #[test]
+fn string_line_continuations_track_lines() {
+    let src = "#[expect(lint, reason = \"one \\\n   two\")]\nfn after() {}";
+    let lexed = lex(src);
+    let after = lexed
+        .tokens
+        .iter()
+        .find(|t| t.text == "after")
+        .expect("ident after the continued literal");
+    assert_eq!(after.line, 3, "a backslash-newline ends a line");
+}
+
+#[test]
 fn rule_tokens_inside_raw_strings_are_inert() {
-    let src = "pub fn ok() -> &'static str {\n    r#\"x.unwrap() panic!() thread_rng()\"#\n}\n";
+    let src = "pub fn ok(m: &HashSet<u32>) -> &'static str {\n    r#\"for x in &m {} m.iter().collect()\"#\n}\n";
     assert!(check_source("crates/core/src/f.rs", src).is_empty());
 }
 
@@ -130,16 +142,16 @@ fn json_format_schema_is_pinned_exactly() {
     // exactly these keys, in this order. Changing the shape must break
     // this snapshot.
     let f = Finding {
-        rule: "D04",
+        rule: "D01",
         path: "crates/x/src/lib.rs".to_string(),
         line: 7,
-        snippet: "x.unwrap()".to_string(),
+        snippet: "for x in &m {".to_string(),
         message: "say \"why\"".to_string(),
     };
     assert_eq!(
         findings_to_json(&[f]),
-        "[\n  {\"rule\":\"D04\",\"path\":\"crates/x/src/lib.rs\",\"line\":7,\
-         \"snippet\":\"x.unwrap()\",\"message\":\"say \\\"why\\\"\"}\n]"
+        "[\n  {\"rule\":\"D01\",\"path\":\"crates/x/src/lib.rs\",\"line\":7,\
+         \"snippet\":\"for x in &m {\",\"message\":\"say \\\"why\\\"\"}\n]"
     );
     assert_eq!(findings_to_json(&[]), "[]");
 }
@@ -148,7 +160,7 @@ fn json_format_schema_is_pinned_exactly() {
 fn json_output_of_a_real_finding_round_trips_the_schema_keys() {
     let findings = check_source(
         "crates/x/src/lib.rs",
-        "pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n",
+        "pub fn f(m: &HashSet<u32>) -> Vec<u32> { m.iter().copied().collect() }\n",
     );
     assert_eq!(findings.len(), 1);
     let json = findings_to_json(&findings);
@@ -161,5 +173,5 @@ fn json_output_of_a_real_finding_round_trips_the_schema_keys() {
     ] {
         assert!(json.contains(key), "missing {key} in {json}");
     }
-    assert!(json.starts_with("[\n  {\"rule\":\"D04\""), "{json}");
+    assert!(json.starts_with("[\n  {\"rule\":\"D01\""), "{json}");
 }

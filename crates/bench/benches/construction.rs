@@ -33,7 +33,7 @@ fn table1_constructions(c: &mut Criterion) {
     });
     g.bench_function("full_backbone", |b| {
         let builder = BackboneBuilder::new(BackboneConfig::new(60.0));
-        b.iter(|| black_box(builder.build(&udg).unwrap()))
+        b.iter(|| black_box(builder.build(&udg).expect("connected UDG builds")))
     });
     g.finish();
 }
@@ -44,7 +44,7 @@ fn density_sweep(c: &mut Criterion) {
         let (_pts, udg, _seed) = connected_unit_disk(n, 200.0, 60.0, 2);
         let builder = BackboneBuilder::new(BackboneConfig::new(60.0));
         g.bench_with_input(BenchmarkId::new("backbone", n), &udg, |b, udg| {
-            b.iter(|| black_box(builder.build(udg).unwrap()))
+            b.iter(|| black_box(builder.build(udg).expect("connected UDG builds")))
         });
     }
     g.finish();
@@ -57,7 +57,7 @@ fn distributed_construction(c: &mut Criterion) {
         let (_pts, udg, _seed) = connected_unit_disk(n, 200.0, 60.0, 3);
         let builder = BackboneBuilder::new(BackboneConfig::new(60.0).distributed());
         g.bench_with_input(BenchmarkId::new("protocol", n), &udg, |b, udg| {
-            b.iter(|| black_box(builder.build(udg).unwrap()))
+            b.iter(|| black_box(builder.build(udg).expect("connected UDG builds")))
         });
     }
     g.finish();
@@ -72,7 +72,7 @@ fn radius_sweep(c: &mut Criterion) {
         g.bench_with_input(
             BenchmarkId::new("backbone_n500", radius as u64),
             &udg,
-            |b, udg| b.iter(|| black_box(builder.build(udg).unwrap())),
+            |b, udg| b.iter(|| black_box(builder.build(udg).expect("connected UDG builds"))),
         );
     }
     g.finish();

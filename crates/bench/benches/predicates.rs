@@ -56,7 +56,7 @@ fn predicates(c: &mut Criterion) {
     for d in [8usize, 32, 128] {
         let hood = uniform_points(d + 1, 60.0, d as u64);
         g.bench_with_input(BenchmarkId::new("del_n1", d), &hood, |b, hood| {
-            b.iter(|| black_box(Triangulation::build(hood).unwrap()))
+            b.iter(|| black_box(Triangulation::build(hood).expect("random points triangulate")))
         });
     }
     g.finish();

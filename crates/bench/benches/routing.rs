@@ -22,7 +22,7 @@ fn routing(c: &mut Criterion) {
     let gg = gabriel(&udg);
     let backbone = BackboneBuilder::new(BackboneConfig::new(60.0))
         .build(&udg)
-        .unwrap();
+        .expect("connected UDG builds");
     let n = udg.node_count();
     let pairs: Vec<(usize, usize)> = (0..n)
         .step_by(7)

@@ -141,6 +141,11 @@ pub fn seed_planarize(g: &Graph, raw: LocalDelaunay) -> LocalDelaunay {
             )
         })
         .collect();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "frozen seed replica kept bit-exact; the bounding-box coordinates are finite, so \
+                  partial_cmp never meets a NaN"
+    )]
     order.sort_by(|&i, &j| bbox[i].0.partial_cmp(&bbox[j].0).expect("finite coords"));
 
     for (oi, &i) in order.iter().enumerate() {
@@ -544,6 +549,11 @@ mod prev_tri {
             let (a, b, c) = match orient2d(self.pts[i], self.pts[j], self.pts[k]) {
                 Orientation::CounterClockwise => (i, j, k),
                 Orientation::Clockwise => (i, k, j),
+                #[expect(
+                    clippy::unreachable,
+                    reason = "frozen seed replica; the live copies in geometry and topology carry \
+                              expect attributes with the non-degeneracy argument"
+                )]
                 Orientation::Collinear => unreachable!("seed triangle is non-degenerate"),
             };
             self.tris.push(Tri {
@@ -824,6 +834,11 @@ mod tri {
             let (a, b, c) = match orient2d(self.pts[i], self.pts[j], self.pts[k]) {
                 Orientation::CounterClockwise => (i, j, k),
                 Orientation::Clockwise => (i, k, j),
+                #[expect(
+                    clippy::unreachable,
+                    reason = "frozen seed replica; the live copies in geometry and topology carry \
+                              expect attributes with the non-degeneracy argument"
+                )]
                 Orientation::Collinear => unreachable!("seed triangle is non-degenerate"),
             };
             self.tris.push(Tri {
@@ -888,6 +903,11 @@ mod tri {
                         if self.in_conflict(g, p) {
                             return g;
                         }
+                        #[expect(
+                            clippy::unwrap_used,
+                            reason = "frozen seed replica of the triangulation ghost walk; the live copy in \
+                                      crates/geometry uses expect()"
+                        )]
                         let k = self.tris[g].v.iter().position(|&v| v == GHOST).unwrap();
                         g = self.tris[g].n[(k + 1) % 3];
                     }
@@ -1017,6 +1037,11 @@ mod tri {
                 {
                     let mut g = start;
                     loop {
+                        #[expect(
+                            clippy::unwrap_used,
+                            reason = "frozen seed replica of the triangulation ghost walk; the live copy in \
+                                      crates/geometry uses expect()"
+                        )]
                         let k = self.tris[g].v.iter().position(|&v| v == GHOST).unwrap();
                         hull.push(self.tris[g].v[(k + 2) % 3]);
                         g = self.tris[g].n[(k + 1) % 3];

@@ -15,6 +15,9 @@ use geospan_graph::stats::degree_stats_over;
 use geospan_graph::Graph;
 use geospan_topology::{gabriel, ldel, relative_neighborhood};
 
+/// Turns an ICDS into a planar backbone.
+type Planarizer = fn(&Graph) -> Graph;
+
 fn main() {
     let cli = CliArgs::parse();
     let scenario = cli.apply(Scenario::table1());
@@ -30,19 +33,19 @@ fn main() {
     let mut csv =
         String::from("planarizer,planar,backbone_deg_max,edges,len_avg,len_max,hop_avg,hop_max\n");
     let instances = scenario.instances();
-    for name in ["LDel", "GG", "RNG"] {
+    let planarizers: [(&str, Planarizer); 3] = [
+        ("LDel", |g| ldel::planarized(g).graph),
+        ("GG", gabriel),
+        ("RNG", relative_neighborhood),
+    ];
+    for (name, planarize) in planarizers {
         let mut planar = true;
         let mut deg_max = 0usize;
         let mut edges = 0.0;
         let (mut la, mut lm, mut ha, mut hm) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
         for (_pts, udg) in &instances {
             let cds = build_cds(udg, &ClusterRank::LowestId);
-            let backbone: Graph = match name {
-                "LDel" => ldel::planarized(&cds.icds).graph,
-                "GG" => gabriel(&cds.icds),
-                "RNG" => relative_neighborhood(&cds.icds),
-                _ => unreachable!(),
-            };
+            let backbone = planarize(&cds.icds);
             planar &= is_plane_embedding(&backbone);
             let nodes = cds.backbone_nodes();
             deg_max = deg_max.max(degree_stats_over(&backbone, nodes).max);

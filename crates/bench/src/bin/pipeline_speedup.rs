@@ -24,10 +24,10 @@
 //! density follows the paper's Table I calibration (side `200·√(n/100)`,
 //! radius 60), so the average degree stays constant across sizes.
 
-// geospan-analyze: allow(D02, wall-clock timing is the benchmark's measurement, not an artifact input)
 use std::time::Instant;
 
 use geospan_bench::baseline::{prev_planarized, seed_crossing_count, seed_ldel1, seed_planarize};
+use geospan_bench::CliArgs;
 use geospan_cds::build_cds;
 use geospan_core::ClusterRank;
 use geospan_graph::gen::connected_unit_disk;
@@ -207,7 +207,10 @@ fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
     let mut best = f64::INFINITY;
     let mut out = None;
     for _ in 0..reps {
-        // geospan-analyze: allow(D02, wall-clock timing is the benchmark's measurement, not an artifact input)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock timing is the benchmark's measurement, not an artifact input"
+        )]
         let t0 = Instant::now();
         let r = f();
         best = best.min(t0.elapsed().as_secs_f64() * 1e3);
@@ -231,12 +234,18 @@ fn interleaved_best<A, B>(
     let mut out_f = None;
     let mut out_g = None;
     for _ in 0..reps {
-        // geospan-analyze: allow(D02, wall-clock timing is the benchmark's measurement, not an artifact input)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock timing is the benchmark's measurement, not an artifact input"
+        )]
         let t0 = Instant::now();
         let a = f();
         best_f = best_f.min(t0.elapsed().as_secs_f64() * 1e3);
         out_f = Some(a);
-        // geospan-analyze: allow(D02, wall-clock timing is the benchmark's measurement, not an artifact input)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock timing is the benchmark's measurement, not an artifact input"
+        )]
         let t1 = Instant::now();
         let b = g();
         best_g = best_g.min(t1.elapsed().as_secs_f64() * 1e3);
@@ -257,28 +266,10 @@ fn peak_rss_mb() -> Option<f64> {
 }
 
 fn main() {
-    let mut quick = false;
-    let mut check = false;
-    let mut seed = 1u64;
-    let mut out_dir = std::path::PathBuf::from("results");
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--check" => check = true,
-            "--seed" => {
-                seed = args
-                    .next()
-                    .expect("value after --seed")
-                    .parse()
-                    .expect("u64")
-            }
-            "--out" => out_dir = args.next().expect("value after --out").into(),
-            other => {
-                panic!("unknown argument {other}; supported: --quick --check --seed S --out DIR")
-            }
-        }
-    }
+    let cli = CliArgs::parse_flags(&["--quick", "--check", "--seed", "--out"]);
+    let (quick, check) = (cli.quick, cli.check);
+    let seed = cli.seed.unwrap_or(1);
+    let out_dir = cli.out.unwrap_or_else(|| "results".into());
 
     let sizes: &[usize] = if quick {
         &[200, 500, 10_000]

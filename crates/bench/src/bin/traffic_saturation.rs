@@ -29,56 +29,16 @@ use geospan_bench::traffic::{
     check_frontier_shift, check_saturation_collapse, format_saturation, saturation_csv,
     saturation_rows, SaturationSweepConfig,
 };
-
-struct Args {
-    quick: bool,
-    check: bool,
-    trials: Option<usize>,
-    seed: Option<u64>,
-    out: Option<PathBuf>,
-}
-
-fn parse_args() -> Args {
-    let mut parsed = Args {
-        quick: false,
-        check: false,
-        trials: None,
-        seed: None,
-        out: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut next = |what: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("missing value after {what}"))
-        };
-        match a.as_str() {
-            "--quick" => parsed.quick = true,
-            "--check" => parsed.check = true,
-            "--trials" => parsed.trials = Some(next("--trials").parse().expect("trials: integer")),
-            "--seed" => parsed.seed = Some(next("--seed").parse().expect("seed: integer")),
-            "--out" => parsed.out = Some(next("--out").into()),
-            other => panic!(
-                "unknown argument {other}; supported: --quick --check --trials N --seed S --out DIR"
-            ),
-        }
-    }
-    parsed
-}
+use geospan_bench::CliArgs;
 
 fn main() -> ExitCode {
-    let args = parse_args();
+    let args = CliArgs::parse_flags(&["--quick", "--check", "--trials", "--seed", "--out"]);
     let mut cfg = if args.quick {
         SaturationSweepConfig::quick()
     } else {
         SaturationSweepConfig::standard()
     };
-    if let Some(t) = args.trials {
-        cfg.scenario.trials = t;
-    }
-    if let Some(s) = args.seed {
-        cfg.scenario.seed = s;
-    }
+    cfg.scenario = args.apply(cfg.scenario);
 
     println!(
         "Saturation frontier under {:.0}% loss: n={}, R={}, {} trials, {} ticks, \

@@ -26,45 +26,10 @@ use std::process::ExitCode;
 use geospan_bench::scale::{
     check_identity, check_speedup, format_scale, scale_json, scale_rows, ScaleConfig,
 };
-
-struct Args {
-    quick: bool,
-    check: bool,
-    seed: Option<u64>,
-    reps: Option<usize>,
-    out: Option<PathBuf>,
-}
-
-fn parse_args() -> Args {
-    let mut parsed = Args {
-        quick: false,
-        check: false,
-        seed: None,
-        reps: None,
-        out: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut next = |what: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("missing value after {what}"))
-        };
-        match a.as_str() {
-            "--quick" => parsed.quick = true,
-            "--check" => parsed.check = true,
-            "--seed" => parsed.seed = Some(next("--seed").parse().expect("seed: integer")),
-            "--reps" => parsed.reps = Some(next("--reps").parse().expect("reps: integer")),
-            "--out" => parsed.out = Some(next("--out").into()),
-            other => panic!(
-                "unknown argument {other}; supported: --quick --check --seed S --reps R --out DIR"
-            ),
-        }
-    }
-    parsed
-}
+use geospan_bench::CliArgs;
 
 fn main() -> ExitCode {
-    let args = parse_args();
+    let args = CliArgs::parse_flags(&["--quick", "--check", "--seed", "--reps", "--out"]);
     let mut cfg = if args.quick {
         ScaleConfig::quick()
     } else {

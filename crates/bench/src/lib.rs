@@ -384,43 +384,85 @@ pub fn series_csv(param_name: &str, series: &[Series]) -> String {
     out
 }
 
-/// Simple CLI parsing shared by the experiment binaries: `--trials N`,
-/// `--seed S`, `--out DIR` (all optional).
+/// CLI parsing shared by the experiment binaries. Each binary names the
+/// flags it accepts; any other flag is a usage error.
 #[derive(Debug, Clone, Default)]
 pub struct CliArgs {
+    /// `--quick`: swap in the small CI smoke configuration.
+    pub quick: bool,
+    /// `--check`: exit non-zero unless the experiment's gates hold.
+    pub check: bool,
     /// Override for the trial count.
     pub trials: Option<usize>,
     /// Override for the base seed.
     pub seed: Option<u64>,
+    /// Override for the timing repetitions.
+    pub reps: Option<usize>,
     /// Output directory for CSV/SVG artifacts.
     pub out: Option<std::path::PathBuf>,
 }
 
 impl CliArgs {
-    /// Parses `std::env::args`.
+    /// Parses `std::env::args` with the figure/table flags: `--trials N`,
+    /// `--seed S`, `--out DIR` (all optional).
     ///
     /// # Panics
     /// Panics (with a usage message) on malformed arguments.
     pub fn parse() -> Self {
-        let mut args = std::env::args().skip(1);
+        Self::parse_flags(&["--trials", "--seed", "--out"])
+    }
+
+    /// Parses `std::env::args`, accepting only the flags in `accepted`
+    /// (any of `--quick`, `--check`, `--trials N`, `--seed S`,
+    /// `--reps R`, `--out DIR`).
+    ///
+    /// # Panics
+    /// Panics (with a usage message) on malformed arguments.
+    #[expect(
+        clippy::panic,
+        reason = "documented CLI usage panic: this helper exists only for bin targets"
+    )]
+    pub fn parse_flags(accepted: &[&str]) -> Self {
+        Self::from_args(std::env::args().skip(1), accepted)
+            .unwrap_or_else(|usage| panic!("{usage}"))
+    }
+
+    /// Parses `args` (without the program name), accepting only the flags
+    /// in `accepted`.
+    ///
+    /// # Errors
+    /// Returns a usage message on a flag outside `accepted`, a missing
+    /// value, or a value that does not parse.
+    fn from_args(
+        args: impl IntoIterator<Item = String>,
+        accepted: &[&str],
+    ) -> Result<Self, String> {
+        fn value<T: std::str::FromStr>(
+            flag: &str,
+            args: &mut impl Iterator<Item = String>,
+        ) -> Result<T, String> {
+            let v = args
+                .next()
+                .ok_or_else(|| format!("missing value after {flag}"))?;
+            v.parse().map_err(|_| format!("{flag}: cannot parse {v:?}"))
+        }
+        let mut args = args.into_iter();
         let mut out = CliArgs::default();
-        while let Some(a) = args.next() {
-            let mut next = |what: &str| {
-                args.next()
-                    // geospan-analyze: allow(D11, documented CLI usage panic: this helper exists only for bin targets)
-                    .unwrap_or_else(|| panic!("missing value after {what}"))
-            };
-            match a.as_str() {
-                "--trials" => out.trials = Some(next("--trials").parse().expect("trials: integer")),
-                "--seed" => out.seed = Some(next("--seed").parse().expect("seed: integer")),
-                "--out" => out.out = Some(next("--out").into()),
-                other => {
-                    // geospan-analyze: allow(D11, documented CLI usage panic: this helper exists only for bin targets)
-                    panic!("unknown argument {other}; supported: --trials N --seed S --out DIR")
-                }
+        while let Some(flag) = args.next() {
+            let flag = flag.as_str();
+            let unknown = || format!("unknown argument {flag}; supported: {}", accepted.join(" "));
+            match flag {
+                _ if !accepted.contains(&flag) => return Err(unknown()),
+                "--quick" => out.quick = true,
+                "--check" => out.check = true,
+                "--trials" => out.trials = Some(value(flag, &mut args)?),
+                "--seed" => out.seed = Some(value(flag, &mut args)?),
+                "--reps" => out.reps = Some(value(flag, &mut args)?),
+                "--out" => out.out = Some(value(flag, &mut args)?),
+                _ => return Err(unknown()),
             }
         }
-        out
+        Ok(out)
     }
 
     /// Applies the overrides to a scenario.
@@ -512,7 +554,7 @@ mod tests {
         let cli = CliArgs {
             trials: Some(3),
             seed: Some(77),
-            out: None,
+            ..CliArgs::default()
         };
         let s = cli.apply(Scenario::table1());
         assert_eq!(s.trials, 3);
@@ -523,12 +565,35 @@ mod tests {
     }
 
     #[test]
+    fn cli_accepts_only_the_flags_a_binary_names() {
+        let args = |list: &[&str]| list.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        let traffic = ["--quick", "--check", "--seed", "--reps", "--out"];
+        let cli = CliArgs::from_args(
+            args(&[
+                "--quick", "--reps", "4", "--seed", "9", "--out", "d", "--check",
+            ]),
+            &traffic,
+        )
+        .expect("accepted flags parse");
+        assert!(cli.quick && cli.check);
+        assert_eq!((cli.reps, cli.seed, cli.trials), (Some(4), Some(9), None));
+        assert_eq!(cli.out, Some(std::path::PathBuf::from("d")));
+
+        let unknown = CliArgs::from_args(args(&["--trials", "3"]), &traffic).unwrap_err();
+        assert!(unknown.contains("unknown argument --trials"), "{unknown}");
+        assert!(unknown.contains("--reps"), "{unknown}");
+        let missing = CliArgs::from_args(args(&["--seed"]), &traffic).unwrap_err();
+        assert_eq!(missing, "missing value after --seed");
+        let malformed = CliArgs::from_args(args(&["--reps", "x"]), &traffic).unwrap_err();
+        assert_eq!(malformed, "--reps: cannot parse \"x\"");
+    }
+
+    #[test]
     fn artifacts_written_only_with_out_dir() {
         let dir = std::env::temp_dir().join(format!("geospan-bench-test-{}", std::process::id()));
         let cli = CliArgs {
-            trials: None,
-            seed: None,
             out: Some(dir.clone()),
+            ..CliArgs::default()
         };
         cli.write_artifact("x.csv", "a,b\n1,2\n");
         assert_eq!(

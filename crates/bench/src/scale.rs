@@ -14,7 +14,6 @@
 //! changes nothing else.
 
 use std::fmt::Write as _;
-// geospan-analyze: allow(D02, wall-clock timing is the benchmark's measurement, not an artifact input)
 use std::time::Instant;
 
 use geospan_core::{BackboneBuilder, BackboneConfig, ClusterRank};
@@ -188,7 +187,10 @@ pub fn scale_rows(cfg: &ScaleConfig) -> ScaleReport {
         let mut best_ms = f64::INFINITY;
         let mut last = None;
         for _ in 0..cfg.reps {
-            // geospan-analyze: allow(D02, wall-clock timing is the benchmark's measurement, not an artifact input)
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "wall-clock timing is the benchmark's measurement, not an artifact input"
+            )]
             let t0 = Instant::now();
             let (outcome, stats) =
                 engine.run_with_stats(&forwarding, &udg, &arrivals, &faults, &engine_cfg);
@@ -239,7 +241,10 @@ pub fn scale_rows(cfg: &ScaleConfig) -> ScaleReport {
 
     let reference = reference.expect("shard_counts is non-empty");
     ScaleReport {
-        // geospan-analyze: allow(D07, reading the host's core count reports the environment, no threads are spawned)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "reading the host's core count reports the environment, no threads are spawned"
+        )]
         cores: std::thread::available_parallelism().map_or(1, |p| p.get()),
         offered: reference.report.offered,
         delivered: reference.report.delivered,

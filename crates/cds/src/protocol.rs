@@ -261,7 +261,10 @@ impl Protocol for CdsNode {
                             self.add_edge(self.id, v);
                         }
                         2 => self.add_edge(u, self.id),
-                        // geospan-analyze: allow(D11, stage 3 keys are filtered out two lines above; stages are only ever 1-3)
+                        #[expect(
+                            clippy::unreachable,
+                            reason = "stage 3 keys are filtered out two lines above; stages are only ever 1-3"
+                        )]
                         _ => unreachable!(),
                     }
                     ctx.broadcast(CdsMsg::IamConnector {
@@ -471,7 +474,10 @@ fn harvest(udg: &Graph, nodes: &[CdsNode], crashed: &VecSet, lenient: bool) -> C
                 dominators.push(node.id);
                 is_dominator[node.id] = true;
             }
-            // geospan-analyze: allow(D11, the clustering phase colors every node before extraction; lenient mode above absorbs injected faults)
+            #[expect(
+                clippy::unreachable,
+                reason = "the clustering phase colors every node before extraction; lenient mode above absorbs injected faults"
+            )]
             Status::White => unreachable!("clustering leaves no white nodes"),
         }
         edges.extend(

@@ -222,14 +222,13 @@ pub fn gpsr_forward(g: &Graph, state: &mut GpsrState, u: usize, dst: usize) -> D
                 return match greedy_next(g, u, dpos) {
                     Some(v) => Decision::Forward(v),
                     None => {
-                        if g.degree(u) == 0 {
+                        let Some(v) = first_edge_ccw(g, u, dpos) else {
                             return Decision::Stuck;
-                        }
+                        };
                         state.mode = Mode::Perimeter;
                         state.entry_dist = g.position(u).distance(dpos);
                         state.face_point = g.position(u);
                         state.walked.clear();
-                        let v = first_edge_ccw(g, u, dpos);
                         state.walked.insert((u, v));
                         state.prev = u;
                         Decision::Forward(v)
@@ -243,7 +242,11 @@ pub fn gpsr_forward(g: &Graph, state: &mut GpsrState, u: usize, dst: usize) -> D
                     state.mode = Mode::Greedy;
                     continue;
                 }
-                let mut v = next_ccw(g, u, state.prev);
+                // Under churn the packet can reach a node that has lost
+                // every link since the walk began: nowhere to turn.
+                let Some(mut v) = next_ccw(g, u, state.prev) else {
+                    return Decision::Stuck;
+                };
                 if v == dst {
                     return Decision::Forward(v);
                 }
@@ -265,7 +268,7 @@ pub fn gpsr_forward(g: &Graph, state: &mut GpsrState, u: usize, dst: usize) -> D
                         segment_intersection(g.position(u), g.position(v), state.face_point, dpos)
                             .expect("exit test implies intersection");
                     state.face_point = p;
-                    v = next_ccw(g, u, v);
+                    v = next_ccw(g, u, v).expect("u has the neighbour v");
                     // New face: edges may legitimately repeat.
                     state.walked.clear();
                 }
@@ -346,15 +349,14 @@ pub fn face_route(g: &Graph, src: usize, dst: usize, max_hops: usize) -> Route {
             outcome: RouteOutcome::Delivered,
         };
     }
-    if g.degree(src) == 0 {
+    let Some(mut v) = first_edge_ccw(g, src, dpos) else {
         return Route {
             path,
             outcome: RouteOutcome::Stuck,
         };
-    }
+    };
     let mut face_point = g.position(src);
     let mut u = src;
-    let mut v = first_edge_ccw(g, src, dpos);
     // Directed edges walked on the *current* face; an edge may reappear
     // on a later face, so the set resets at every face change.
     let mut walked: std::collections::HashSet<(usize, usize)> = std::collections::HashSet::new();
@@ -374,7 +376,7 @@ pub fn face_route(g: &Graph, src: usize, dst: usize, max_hops: usize) -> Route {
             };
         }
         let prev = std::mem::replace(&mut u, v);
-        v = next_ccw(g, u, prev);
+        v = next_ccw(g, u, prev).expect("u has the neighbour prev");
         if v != dst {
             // Bounce across exit crossings onto the face the segment
             // continues into (see gpsr_route for the rationale).
@@ -385,7 +387,7 @@ pub fn face_route(g: &Graph, src: usize, dst: usize, max_hops: usize) -> Route {
                 let p = segment_intersection(g.position(u), g.position(v), face_point, dpos)
                     .expect("exit test implies intersection");
                 face_point = p;
-                v = next_ccw(g, u, v);
+                v = next_ccw(g, u, v).expect("u has the neighbour v");
                 walked.clear();
             }
         }
@@ -621,16 +623,16 @@ pub fn flood_transmissions(g: &Graph, src: usize) -> usize {
 }
 
 /// First edge counterclockwise about `u` starting from the ray toward
-/// `target`.
-fn first_edge_ccw(g: &Graph, u: usize, target: Point) -> usize {
+/// `target` (`None` when `u` has no neighbour).
+fn first_edge_ccw(g: &Graph, u: usize, target: Point) -> Option<usize> {
     let pu = g.position(u);
     let ref_angle = pseudo_angle(target.x - pu.x, target.y - pu.y);
     best_by_ccw_angle(g, u, ref_angle)
 }
 
 /// Next edge counterclockwise about `u` from the ray toward `prev` (the
-/// right-hand rule step).
-fn next_ccw(g: &Graph, u: usize, prev: usize) -> usize {
+/// right-hand rule step; `None` when `u` has no neighbour).
+fn next_ccw(g: &Graph, u: usize, prev: usize) -> Option<usize> {
     let pu = g.position(u);
     let pp = g.position(prev);
     let ref_angle = pseudo_angle(pp.x - pu.x, pp.y - pu.y);
@@ -639,8 +641,9 @@ fn next_ccw(g: &Graph, u: usize, prev: usize) -> usize {
 
 /// The neighbor minimizing the positive counterclockwise pseudo-angle
 /// from `ref_angle` (a neighbor exactly on the ray counts as a full
-/// turn, so the walk can bounce back from degree-1 nodes).
-fn best_by_ccw_angle(g: &Graph, u: usize, ref_angle: f64) -> usize {
+/// turn, so the walk can bounce back from degree-1 nodes); `None` when
+/// `u` has no neighbour.
+fn best_by_ccw_angle(g: &Graph, u: usize, ref_angle: f64) -> Option<usize> {
     let pu = g.position(u);
     g.neighbors(u)
         .iter()
@@ -656,7 +659,6 @@ fn best_by_ccw_angle(g: &Graph, u: usize, ref_angle: f64) -> usize {
         })
         .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
         .map(|(_, v)| v)
-        .expect("perimeter mode requires degree >= 1")
 }
 
 /// Does walking the face edge `u -> v` constitute leaving the current
@@ -745,6 +747,28 @@ mod tests {
         // GPSR recovers around the void.
         let r = gpsr_route(&g, 0, 4, 20);
         assert!(r.delivered(), "path {:?}", r.path);
+    }
+
+    #[test]
+    fn perimeter_mode_at_a_node_without_links_is_stuck() {
+        // Greedy from 0 toward 2 has no closer neighbour, so the packet
+        // enters perimeter mode and walks to 1. Then the links vanish
+        // (a churn snapshot): at 1 the right-hand rule has no edge.
+        use geospan_graph::Point;
+        let pts = vec![
+            Point::new(0.0, 0.0),
+            Point::new(-1.0, 0.0),
+            Point::new(10.0, 0.0),
+        ];
+        let before = Graph::with_edges(pts.clone(), [(0, 1)]);
+        let after = Graph::new(pts);
+        let mut state = GpsrState::new();
+        assert_eq!(
+            gpsr_forward(&before, &mut state, 0, 2),
+            Decision::Forward(1)
+        );
+        assert!(!state.is_greedy());
+        assert_eq!(gpsr_forward(&after, &mut state, 1, 2), Decision::Stuck);
     }
 
     #[test]

@@ -82,6 +82,10 @@ fn check_trace(seed: u64, n: usize, events: usize) {
                     format!("seed {seed} n {n} tick {tick}: join {node}"),
                     m.rejoin_node(node, position).expect("join"),
                 ),
+                #[expect(
+                    clippy::unreachable,
+                    reason = "membership-only traces schedule no moves"
+                )]
                 ChurnEvent::Move { .. } => {
                     unreachable!("membership-only traces schedule no moves")
                 }

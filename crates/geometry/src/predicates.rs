@@ -233,8 +233,11 @@ pub fn in_circumcircle(a: Point, b: Point, c: Point, p: Point) -> CirclePosition
     match orient2d(a, b, c) {
         Orientation::CounterClockwise => incircle(a, b, c, p),
         Orientation::Clockwise => incircle(a, c, b, p),
+        #[expect(
+            clippy::panic,
+            reason = "documented precondition panic: the docs above require a non-degenerate triangle"
+        )]
         Orientation::Collinear => {
-            // geospan-analyze: allow(D11, documented precondition panic: the docs above require a non-degenerate triangle)
             panic!("in_circumcircle: degenerate (collinear) triangle {a}, {b}, {c}")
         }
     }

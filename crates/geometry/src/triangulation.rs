@@ -451,7 +451,10 @@ impl<'a, 's> Core<'a, 's> {
         let (a, b, c) = match orient2d(self.pts[i], self.pts[j], self.pts[k]) {
             Orientation::CounterClockwise => (i, j, k),
             Orientation::Clockwise => (i, k, j),
-            // geospan-analyze: allow(D11, the seed triangle is pre-screened by the caller for non-collinearity)
+            #[expect(
+                clippy::unreachable,
+                reason = "the seed triangle is pre-screened by the caller for non-collinearity"
+            )]
             Orientation::Collinear => unreachable!("seed triangle is non-degenerate"),
         };
         let (pa, pb, pc) = (self.pts[a], self.pts[b], self.pts[c]);

@@ -232,6 +232,11 @@ impl UnitDiskBuilder {
 /// # Panics
 /// Panics after 10 000 failed attempts — the parameters are then below
 /// the connectivity regime and the experiment configuration is wrong.
+#[expect(
+    clippy::panic,
+    reason = "documented connectivity-threshold panic: scenario parameters are author errors \
+              caught at generation time"
+)]
 pub fn connected_unit_disk(
     n: usize,
     side: f64,
@@ -246,7 +251,6 @@ pub fn connected_unit_disk(
             return (pts, g, s);
         }
     }
-    // geospan-analyze: allow(D11, documented connectivity-threshold panic: scenario parameters are author errors caught at generation time)
     panic!(
         "no connected deployment found for n={n}, side={side}, radius={radius} \
          after 10000 attempts: parameters are below the connectivity threshold"

@@ -342,7 +342,10 @@ fn planarize_parts(
         .map(|&[a, b, c]| match orient2d(a, b, c) {
             Orientation::CounterClockwise => [a, b, c],
             Orientation::Clockwise => [a, c, b],
-            // geospan-analyze: allow(D11, accepted triangles passed the exact in-circle test which rejects degenerates)
+            #[expect(
+                clippy::unreachable,
+                reason = "accepted triangles passed the exact in-circle test which rejects degenerates"
+            )]
             Orientation::Collinear => unreachable!("accepted Delaunay triangle is degenerate"),
         })
         .collect();

@@ -138,7 +138,10 @@ impl Forwarding<'_> {
             (Forwarding::Backbone { backbone, udg }, Session::Backbone(state)) => {
                 backbone_forward(backbone, udg, state, u, dst)
             }
-            // geospan-analyze: allow(D11, sessions are created by new_session on the same Forwarding value; the pairing is structural)
+            #[expect(
+                clippy::unreachable,
+                reason = "sessions are created by new_session on the same Forwarding value; the pairing is structural"
+            )]
             _ => unreachable!("session type always matches the forwarding scheme"),
         }
     }

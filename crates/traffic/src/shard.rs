@@ -27,6 +27,13 @@
 //! `(sender node, emission index)` order and every node-local decision
 //! keys on schedule- or node-local coordinates alone.
 
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "the sharded engine driver is the one place raw threads are allowed: its \
+              two-barrier round protocol carries the determinism proof (DESIGN.md §11)"
+)]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
 

@@ -89,7 +89,10 @@ fn main() {
             if s == t {
                 continue;
             }
-            let (oh, ol) = (opt_hops[t].unwrap(), opt_len[t].unwrap());
+            let (oh, ol) = (
+                opt_hops[t].expect("connected"),
+                opt_len[t].expect("connected"),
+            );
             t_rng.add(&rng, &gpsr_route(&rng, s, t, 100 * n), oh, ol);
             t_gg.add(&gg, &gpsr_route(&gg, s, t, 100 * n), oh, ol);
             let route = backbone_route(&backbone, &udg, s, t, 100 * n);

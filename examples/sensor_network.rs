@@ -21,13 +21,8 @@ fn main() {
 
     // The sink: the node closest to the field's corner (a base station).
     let sink = (0..n)
-        .min_by(|&a, &b| {
-            points[a]
-                .norm_sq()
-                .partial_cmp(&points[b].norm_sq())
-                .unwrap()
-        })
-        .unwrap();
+        .min_by(|&a, &b| points[a].norm_sq().total_cmp(&points[b].norm_sq()))
+        .expect("the deployment is non-empty");
     println!(
         "sensor field: {n} nodes, sink = node {sink} at {}",
         points[sink]

@@ -8,7 +8,7 @@ fn cli() -> Command {
 
 fn tempdir(test: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("geospan-cli-test-{}-{test}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::create_dir_all(&dir).expect("create temp dir");
     dir
 }
 
