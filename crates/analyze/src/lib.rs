@@ -17,13 +17,11 @@
 //! (D01, D05, D06, A00) and cross-file coupling rules in [`xrules`]
 //! (D08–D10), which see the whole workspace at once.
 //!
-//! Suppression is always *with a reason*: inline
-//! `// geospan-analyze: allow(<rule>, <reason>)` directives for
-//! reviewed sites, or the committed tab-separated baseline
-//! (`analyze-baseline.tsv`) for triaged legacy findings. Stale baseline
-//! entries fail the gate, so suppressions cannot outlive their code.
+//! Suppression is always *with a reason* and sits next to the code it
+//! excuses: an inline `// geospan-analyze: allow(<rule>, <reason>)`
+//! directive on a reviewed site. There is no side file of triaged
+//! findings.
 
-pub mod baseline;
 pub mod lexer;
 pub mod parser;
 pub mod rules;
@@ -33,7 +31,6 @@ pub mod xrules;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-pub use baseline::{Baseline, BaselineResult};
 pub use rules::{check_source, Finding, RuleInfo, RULES};
 pub use sarif::findings_to_sarif;
 
@@ -136,9 +133,8 @@ pub fn analyze_sources(files: &[(String, String)]) -> Vec<Finding> {
     out
 }
 
-/// Lints the whole workspace under `root` and returns all raw findings
-/// (inline directives applied; baseline not yet applied), sorted by
-/// path, line, rule.
+/// Lints the whole workspace under `root` and returns its findings
+/// (inline directives applied), sorted by path, line, rule.
 ///
 /// # Errors
 /// Returns an IO error message when a file cannot be read.

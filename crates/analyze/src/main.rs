@@ -5,15 +5,14 @@
 //! ```
 //!
 //! Exit codes: 0 clean (or findings printed without `--check`),
-//! 1 usage / IO error, 2 findings (or stale baseline entries) under
-//! `--check`.
+//! 1 usage / IO error, 2 findings under `--check`. Reviewed sites are
+//! suppressed only by inline `// geospan-analyze: allow(<rule>, <reason>)`
+//! directives.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use geospan_analyze::{analyze_workspace, findings_to_json, findings_to_sarif, Baseline, RULES};
-
-const DEFAULT_BASELINE: &str = "analyze-baseline.tsv";
+use geospan_analyze::{analyze_workspace, findings_to_json, findings_to_sarif, RULES};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Format {
@@ -25,11 +24,8 @@ enum Format {
 #[derive(Debug)]
 struct Options {
     root: PathBuf,
-    baseline: Option<PathBuf>,
     check: bool,
     format: Format,
-    write_baseline: bool,
-    prune_baseline: bool,
     list_rules: bool,
     explain: Option<String>,
     help: bool,
@@ -42,16 +38,9 @@ USAGE:
     geospan-analyze [OPTIONS]
 
 OPTIONS:
-    --check              exit 2 when unsuppressed findings (or stale
-                         baseline entries) remain
+    --check              exit 2 when findings remain
     --root <DIR>         workspace root to scan (default: .)
-    --baseline <FILE>    baseline file (default: <root>/analyze-baseline.tsv;
-                         a missing default file means an empty baseline)
     --format <FMT>       output format: text, json, or sarif (default: text)
-    --write-baseline     write all current findings to the baseline file
-                         (with a TRIAGE-ME reason) and exit
-    --prune-baseline     remove stale baseline entries (matching nothing),
-                         print what was removed, and exit
     --list-rules         print the rule table and exit
     --explain <RULE>     print one rule's summary and rationale and exit
     --help               this message
@@ -60,11 +49,8 @@ OPTIONS:
 fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String> {
     let mut opts = Options {
         root: PathBuf::from("."),
-        baseline: None,
         check: false,
         format: Format::Text,
-        write_baseline: false,
-        prune_baseline: false,
         list_rules: false,
         explain: None,
         help: false,
@@ -75,11 +61,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
             "--root" => {
                 opts.root = PathBuf::from(args.next().ok_or("--root needs a value")?);
             }
-            "--baseline" => {
-                opts.baseline = Some(PathBuf::from(
-                    args.next().ok_or("--baseline needs a value")?,
-                ));
-            }
             "--format" => match args.next().as_deref() {
                 Some("text") => opts.format = Format::Text,
                 Some("json") => opts.format = Format::Json,
@@ -89,8 +70,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
                 }
                 None => return Err("--format needs a value (text|json|sarif)".to_string()),
             },
-            "--write-baseline" => opts.write_baseline = true,
-            "--prune-baseline" => opts.prune_baseline = true,
             "--list-rules" => opts.list_rules = true,
             "--explain" => {
                 let rule = args
@@ -134,96 +113,26 @@ fn run() -> Result<ExitCode, String> {
         return Ok(ExitCode::SUCCESS);
     }
     let findings = analyze_workspace(&opts.root)?;
-    let baseline_path = opts
-        .baseline
-        .clone()
-        .unwrap_or_else(|| opts.root.join(DEFAULT_BASELINE));
-
-    if opts.write_baseline {
-        let text = Baseline::render(&findings, "TRIAGE-ME: reason pending");
-        std::fs::write(&baseline_path, &text)
-            .map_err(|e| format!("write {}: {e}", baseline_path.display()))?;
-        eprintln!(
-            "wrote {} entries to {} — replace every TRIAGE-ME with a real reason",
-            findings.len(),
-            baseline_path.display()
-        );
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    let baseline = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => Baseline::parse(&text)?,
-        // A missing *default* baseline is an empty baseline; an
-        // explicitly named missing file is an error.
-        Err(_) if opts.baseline.is_none() => Baseline::default(),
-        Err(e) => return Err(format!("read {}: {e}", baseline_path.display())),
-    };
-    let res = baseline.apply(findings);
-
-    if opts.prune_baseline {
-        if res.stale.is_empty() {
-            eprintln!("nothing to prune: every baseline entry still matches a finding");
-            return Ok(ExitCode::SUCCESS);
-        }
-        let retained: Vec<_> = baseline
-            .entries
-            .iter()
-            .filter(|e| !res.stale.contains(e))
-            .cloned()
-            .collect();
-        let text = Baseline::render_entries(&retained);
-        std::fs::write(&baseline_path, &text)
-            .map_err(|e| format!("write {}: {e}", baseline_path.display()))?;
-        for e in &res.stale {
-            eprintln!(
-                "pruned: {}\t{}\t{}\t{}",
-                e.rule, e.path, e.snippet, e.reason
-            );
-        }
-        eprintln!(
-            "pruned {} stale entr(ies) from {} ({} kept)",
-            res.stale.len(),
-            baseline_path.display(),
-            retained.len()
-        );
-        return Ok(ExitCode::SUCCESS);
-    }
-
     match opts.format {
-        Format::Json => println!("{}", findings_to_json(&res.unsuppressed)),
-        Format::Sarif => println!("{}", findings_to_sarif(&res.unsuppressed)),
+        Format::Json => println!("{}", findings_to_json(&findings)),
+        Format::Sarif => println!("{}", findings_to_sarif(&findings)),
         Format::Text => {
-            for f in &res.unsuppressed {
+            for f in &findings {
                 println!("{}: {}:{}: {}", f.rule, f.path, f.line, f.message);
                 println!("    {}", f.snippet);
             }
-            if res.suppressed > 0 {
-                eprintln!("note: baseline suppressed {} finding(s)", res.suppressed);
-            }
         }
     }
-    for e in &res.stale {
-        eprintln!(
-            "stale baseline entry (matches nothing): {}\t{}\t{}",
-            e.rule, e.path, e.snippet
-        );
-    }
 
-    let failed = !res.unsuppressed.is_empty() || (opts.check && !res.stale.is_empty());
-    if failed {
-        eprintln!(
-            "geospan-analyze: {} finding(s), {} stale baseline entr(ies)",
-            res.unsuppressed.len(),
-            res.stale.len()
-        );
+    if findings.is_empty() {
+        if opts.format == Format::Text {
+            eprintln!("geospan-analyze: clean");
+        }
+    } else {
+        eprintln!("geospan-analyze: {} finding(s)", findings.len());
         if opts.check {
             return Ok(ExitCode::from(2));
         }
-    } else if opts.format == Format::Text {
-        eprintln!(
-            "geospan-analyze: clean ({} suppressed by baseline)",
-            res.suppressed
-        );
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -273,9 +182,8 @@ mod tests {
     }
 
     #[test]
-    fn prune_and_check_flags_parse() {
-        let o = parse(&["--prune-baseline", "--check", "--root", "/tmp/x"]).unwrap();
-        assert!(o.prune_baseline);
+    fn check_and_root_flags_parse() {
+        let o = parse(&["--check", "--root", "/tmp/x"]).unwrap();
         assert!(o.check);
         assert_eq!(o.root, PathBuf::from("/tmp/x"));
     }
@@ -283,7 +191,6 @@ mod tests {
     #[test]
     fn missing_values_for_paths_are_errors() {
         assert!(parse(&["--root"]).is_err());
-        assert!(parse(&["--baseline"]).is_err());
         assert!(parse(&["--frobnicate"]).is_err());
     }
 }

@@ -78,7 +78,7 @@ pub struct ParsedFile {
     pub matches: Vec<MatchExpr>,
     /// Lines covered by `#[test]` / `#[cfg(test)]` items.
     pub test_lines: BTreeSet<u32>,
-    /// Trimmed source lines, for finding snippets (baseline keys).
+    /// Trimmed source lines, for finding snippets.
     lines: Vec<String>,
 }
 
@@ -88,7 +88,7 @@ impl ParsedFile {
         self.test_lines.contains(&line)
     }
 
-    /// The trimmed source text of 1-based `line` (the baseline key).
+    /// The trimmed source text of 1-based `line`.
     pub fn snippet(&self, line: u32) -> String {
         self.lines
             .get(line as usize - 1)

@@ -9,8 +9,8 @@
 //! conservative heuristics: they know nothing about types, only about
 //! names and shapes — which is exactly what the project's conventions
 //! are written in terms of. False positives are handled by inline
-//! `// geospan-analyze: allow(<rule>, reason)` directives or the
-//! committed baseline, both of which require a reason.
+//! `// geospan-analyze: allow(<rule>, reason)` directives, which require
+//! a reason.
 
 use crate::lexer::{Directive, Lexed, Tok, TokKind};
 use crate::parser::{parse, ParsedFile};
@@ -24,7 +24,7 @@ pub struct Finding {
     pub path: String,
     /// 1-based line.
     pub line: u32,
-    /// The trimmed source line the finding sits on (the baseline key).
+    /// The trimmed source line the finding sits on.
     pub snippet: String,
     /// Human-readable explanation.
     pub message: String,

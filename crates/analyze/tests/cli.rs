@@ -1,6 +1,6 @@
 //! End-to-end tests of the `geospan-analyze` binary: argument errors,
-//! the three output formats, rule explanation, the `--check` gate, and
-//! `--prune-baseline` against a scratch workspace.
+//! the three output formats, rule explanation, and the `--check` gate
+//! against a scratch workspace.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -145,53 +145,5 @@ fn json_output_is_the_pinned_array_schema() {
             "\"snippet\":\"pub fn f(m: &HashSet<u32>) -> Vec<u32> { m.iter().copied().collect() }\""
         ),
         "{text}"
-    );
-}
-
-#[test]
-fn prune_baseline_removes_only_stale_entries() {
-    let root = scratch(
-        "cli-prune",
-        "pub fn f(m: &HashSet<u32>) -> Vec<u32> { m.iter().copied().collect() }\n",
-    );
-    let baseline = root.join("analyze-baseline.tsv");
-    std::fs::write(
-        &baseline,
-        "D01\tcrates/pkg/src/lib.rs\tpub fn f(m: &HashSet<u32>) -> Vec<u32> { m.iter().copied().collect() }\tstill live\n\
-         D01\tcrates/pkg/src/lib.rs\tgone.iter().collect()\tcode was deleted\n",
-    )
-    .expect("write baseline");
-
-    let out = run(&[
-        "--prune-baseline",
-        "--root",
-        root.to_str().expect("utf-8 path"),
-    ]);
-    assert_eq!(out.status.code(), Some(0), "{out:?}");
-    let err = stderr(&out);
-    assert!(err.contains("pruned: D01"), "{err}");
-    assert!(err.contains("gone.iter().collect()"), "{err}");
-    assert!(err.contains("1 kept"), "{err}");
-
-    let kept = std::fs::read_to_string(&baseline).expect("baseline still exists");
-    assert!(kept.contains("still live"), "{kept}");
-    assert!(!kept.contains("gone.iter().collect()"), "{kept}");
-
-    // The pruned baseline still gates: the surviving entry suppresses
-    // the finding, so --check is clean.
-    let out = run(&["--check", "--root", root.to_str().expect("utf-8 path")]);
-    assert_eq!(out.status.code(), Some(0), "{out:?}");
-
-    // A second prune is a no-op.
-    let out = run(&[
-        "--prune-baseline",
-        "--root",
-        root.to_str().expect("utf-8 path"),
-    ]);
-    assert_eq!(out.status.code(), Some(0));
-    assert!(
-        stderr(&out).contains("nothing to prune"),
-        "{}",
-        stderr(&out)
     );
 }

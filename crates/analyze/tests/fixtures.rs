@@ -1,8 +1,8 @@
 //! Per-rule positive/negative fixtures for the determinism linter.
 //!
 //! Each rule gets at least one source string it must flag and one
-//! shaped-alike string it must not, plus coverage for the two
-//! suppression channels (inline allow directives, baseline entries).
+//! shaped-alike string it must not, plus coverage for the suppression
+//! channel (inline allow directives).
 //! The rules handed to clippy keep their fixtures at the end of this
 //! file, linted by clippy under the workspace's own configuration.
 
@@ -10,7 +10,7 @@ use std::fs;
 use std::path::Path;
 use std::process::Command;
 
-use geospan_analyze::{analyze_sources, check_source, Baseline, Finding};
+use geospan_analyze::{analyze_sources, check_source, Finding};
 
 fn rules_hit(src: &str) -> Vec<&'static str> {
     let mut rules: Vec<&'static str> = check_source("fixture.rs", src)
@@ -243,33 +243,6 @@ fn directive_syntax_inside_doc_comments_is_not_parsed() {
 pub fn f() {}
 "#;
     assert_eq!(rules_hit(src), Vec::<&str>::new());
-}
-
-// ------------------------------------------------------------ baseline
-
-#[test]
-fn baseline_suppresses_finding_and_flags_stale_entries() {
-    let src = r#"
-pub fn bad(m: &HashSet<u32>) -> Vec<u32> {
-    m.iter().copied().collect()
-}
-"#;
-    let findings = check_source("src/legacy.rs", src);
-    assert_eq!(findings.len(), 1);
-
-    let bl =
-        Baseline::parse("D01\tsrc/legacy.rs\tm.iter().copied().collect()\ttriaged legacy site\n")
-            .expect("parses");
-    let res = bl.apply(findings.clone());
-    assert_eq!(res.suppressed, 1);
-    assert!(res.unsuppressed.is_empty());
-    assert!(res.stale.is_empty());
-
-    // A baseline for code that no longer exists is stale.
-    let bl = Baseline::parse("D01\tsrc/legacy.rs\tgone.iter().collect()\told\n").expect("parses");
-    let res = bl.apply(findings);
-    assert_eq!(res.unsuppressed.len(), 1);
-    assert_eq!(res.stale.len(), 1);
 }
 
 #[test]

@@ -1,46 +1,26 @@
-//! The linter's own gate, as a test: the workspace must be clean modulo
-//! the committed baseline. This is the same check CI runs via
-//! `cargo run -p geospan-analyze -- --check`, kept as a test so plain
-//! `cargo test` catches regressions too.
+//! The linter's own gate, as a test: the workspace must be clean, with
+//! inline directives the only suppression. This is the same check CI
+//! runs via `cargo run -p geospan-analyze -- --check`, kept as a test so
+//! plain `cargo test` catches regressions too.
 
 use std::path::Path;
 
-use geospan_analyze::{analyze_workspace, workspace_files, Baseline};
+use geospan_analyze::{analyze_workspace, workspace_files};
 
 #[test]
-fn workspace_is_clean_modulo_committed_baseline() {
+fn workspace_is_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
         .and_then(Path::parent)
         .expect("crates/analyze sits two levels under the workspace root")
         .to_path_buf();
     let findings = analyze_workspace(&root).expect("workspace scan succeeds");
-
-    let baseline_path = root.join("analyze-baseline.tsv");
-    let text = std::fs::read_to_string(&baseline_path).expect("committed baseline exists");
-    let baseline = Baseline::parse(&text).expect("committed baseline parses");
     assert!(
-        baseline.entries.len() <= 10,
-        "baseline has grown past the triage budget: {} entries",
-        baseline.entries.len()
-    );
-
-    let res = baseline.apply(findings);
-    assert!(
-        res.unsuppressed.is_empty(),
-        "unsuppressed lint findings:\n{}",
-        res.unsuppressed
+        findings.is_empty(),
+        "lint findings:\n{}",
+        findings
             .iter()
             .map(|f| format!("  {}: {}:{}: {}", f.rule, f.path, f.line, f.snippet))
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
-    assert!(
-        res.stale.is_empty(),
-        "stale baseline entries (delete them):\n{}",
-        res.stale
-            .iter()
-            .map(|e| format!("  {}\t{}\t{}", e.rule, e.path, e.snippet))
             .collect::<Vec<_>>()
             .join("\n")
     );
@@ -64,25 +44,6 @@ fn the_analyzer_lints_its_own_crate() {
         assert!(
             own.iter().any(|p| p.ends_with(must)),
             "crates/analyze/src/{must} missing from the scan set: {own:?}"
-        );
-    }
-}
-
-#[test]
-fn every_baseline_entry_has_a_real_reason() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(Path::parent)
-        .expect("crates/analyze sits two levels under the workspace root")
-        .to_path_buf();
-    let text = std::fs::read_to_string(root.join("analyze-baseline.tsv")).expect("baseline exists");
-    let baseline = Baseline::parse(&text).expect("baseline parses");
-    for e in &baseline.entries {
-        assert!(
-            !e.reason.contains("TRIAGE-ME") && e.reason.len() >= 10,
-            "baseline entry for {} lacks a substantive reason: {:?}",
-            e.path,
-            e.reason
         );
     }
 }

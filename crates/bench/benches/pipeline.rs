@@ -1,4 +1,4 @@
-//! Benchmark baseline for the optimized construction pipeline.
+//! Criterion benchmarks for the construction pipeline.
 //!
 //! One group per pipeline stage, each parameterized over deployment size
 //! at the paper's constant density (side `200·√(n/100)`, radius 60):
@@ -8,15 +8,14 @@
 //! * `planarized` — `LDel¹` plus the grid-indexed planarization,
 //! * `crossing_count` — the grid-indexed crossing diagnostic,
 //! * `cds_election` — clustering + gateway selection,
-//! * `stretch` — all-pairs stretch measurement (smallest size only),
-//! * `seed_baseline` — the frozen seed pipeline for the same instances,
-//!   so a plain `cargo bench` prints the before/after comparison that
-//!   `results/BENCH_pipeline.json` persists.
+//! * `stretch` — all-pairs stretch measurement (smallest size only).
+//!
+//! `results/BENCH_pipeline.json` persists the same pipeline's timings
+//! (see the `pipeline_speedup` binary).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use geospan_bench::baseline::{seed_ldel1, seed_planarize};
 use geospan_bench::udg_of;
 use geospan_cds::{build_cds, ClusterRank};
 use geospan_graph::gen::connected_unit_disk;
@@ -64,20 +63,5 @@ fn pipeline_stages(c: &mut Criterion) {
     g.finish();
 }
 
-fn seed_baseline(c: &mut Criterion) {
-    let mut g = c.benchmark_group("seed_baseline");
-    g.sample_size(10);
-    for n in SIZES {
-        let (_pts, udg) = instance(n);
-        g.bench_with_input(BenchmarkId::new("ldel1", n), &udg, |b, udg| {
-            b.iter(|| black_box(seed_ldel1(udg)))
-        });
-        g.bench_with_input(BenchmarkId::new("planarized", n), &udg, |b, udg| {
-            b.iter(|| black_box(seed_planarize(udg, seed_ldel1(udg))))
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(benches, pipeline_stages, seed_baseline);
+criterion_group!(benches, pipeline_stages);
 criterion_main!(benches);

@@ -425,7 +425,12 @@ fn planarize_parts(
 ///
 /// This is the reference oracle for tests (`LDel^k` is planar for
 /// `k >= 2`); it enumerates all UDG triangles and costs `O(n · Δ³)` — use
-/// [`ldel1`]/[`planarized`] for real workloads.
+/// [`ldel1`]/[`planarized`] for real workloads. Collinear triples are not
+/// triangles and are skipped.
+///
+/// On cocircular layouts the definition accepts every triangle of a tie
+/// (both diagonals of a grid square), where [`ldel1`]'s local
+/// triangulations keep one; elsewhere `ldel_k(g, 1)` equals [`ldel1`].
 ///
 /// # Panics
 /// Panics if `k == 0`.
@@ -443,7 +448,8 @@ pub fn ldel_k(g: &Graph, k: usize) -> LocalDelaunay {
                 continue;
             }
             for &w in &nu[i + 1..] {
-                if w < u || !g.has_edge(v, w) {
+                let (pu, pv, pw) = (g.position(u), g.position(v), g.position(w));
+                if w < u || !g.has_edge(v, w) || orient2d(pu, pv, pw) == Orientation::Collinear {
                     continue;
                 }
                 // Union of the three k-neighborhoods.
@@ -455,7 +461,6 @@ pub fn ldel_k(g: &Graph, k: usize) -> LocalDelaunay {
                     .collect();
                 witnesses.sort_unstable();
                 witnesses.dedup();
-                let (pu, pv, pw) = (g.position(u), g.position(v), g.position(w));
                 let empty = witnesses.iter().all(|&x| {
                     x == u
                         || x == v
@@ -476,6 +481,67 @@ pub fn ldel_k(g: &Graph, k: usize) -> LocalDelaunay {
         graph,
         triangles,
         gabriel_edges,
+    }
+}
+
+/// Algorithm 3 by direct definition: over all pairs of `raw`'s
+/// triangles, a triangle is removed when it properly crosses another and
+/// its closed circumcircle contains a vertex of that other triangle — the
+/// rule [`planarize`] applies to grid-indexed candidate pairs.
+///
+/// This is the reference oracle for tests and costs `O(T²)` in the
+/// triangle count `T`; pairs with disjoint bounding boxes are skipped,
+/// which cannot change the output because a proper crossing implies
+/// overlapping boxes.
+pub fn planarize_by_definition(g: &Graph, raw: LocalDelaunay) -> LocalDelaunay {
+    let tris = &raw.triangles;
+    let pts: Vec<[Point; 3]> = tris.iter().map(|t| t.map(|v| g.position(v))).collect();
+    let boxes: Vec<(f64, f64, f64, f64)> = pts
+        .iter()
+        .map(|&[a, b, c]| {
+            (
+                a.x.min(b.x).min(c.x),
+                a.x.max(b.x).max(c.x),
+                a.y.min(b.y).min(c.y),
+                a.y.max(b.y).max(c.y),
+            )
+        })
+        .collect();
+    let removed: Vec<bool> = (0..tris.len())
+        .into_par_iter()
+        .map(|i| {
+            let (ix0, ix1, iy0, iy1) = boxes[i];
+            (0..tris.len()).any(|j| {
+                let (jx0, jx1, jy0, jy1) = boxes[j];
+                if ix0 > jx1 || jx0 > ix1 || iy0 > jy1 || jy0 > iy1 {
+                    return false;
+                }
+                let [a, b, c] = pts[i];
+                let crosses = [(a, b), (b, c), (a, c)].iter().any(|&(p, q)| {
+                    let [x, y, z] = pts[j];
+                    [(x, y), (y, z), (x, z)]
+                        .iter()
+                        .any(|&(r, s)| segments_properly_cross(p, q, r, s))
+                });
+                crosses
+                    && (0..3).any(|k| {
+                        !tris[i].contains(&tris[j][k])
+                            && in_circumcircle(a, b, c, pts[j][k]) != CirclePosition::Outside
+                    })
+            })
+        })
+        .collect();
+    let triangles: Vec<[usize; 3]> = tris
+        .iter()
+        .zip(&removed)
+        .filter(|(_, &r)| !r)
+        .map(|(&t, _)| t)
+        .collect();
+    let graph = assemble_graph(g, &triangles, &raw.gabriel_edges);
+    LocalDelaunay {
+        graph,
+        triangles,
+        gabriel_edges: raw.gabriel_edges,
     }
 }
 
@@ -677,6 +743,27 @@ mod tests {
             let se: Vec<_> = slow.graph.edges().collect();
             assert_eq!(fe, se, "seed {seed}");
         }
+    }
+
+    #[test]
+    fn ldel_k_skips_collinear_triples() {
+        // A line and an exact grid both hold collinear mutually adjacent
+        // triples; they are not triangles and must not reach the
+        // circumcircle test.
+        let line: Vec<_> = (0..6)
+            .map(|i| geospan_graph::Point::new(0.0, i as f64 * 20.0))
+            .collect();
+        let g = UnitDiskBuilder::new(45.0).build(&line);
+        let ld = ldel_k(&g, 1);
+        assert!(ld.triangles.is_empty());
+        assert_eq!(ld.gabriel_edges, ldel1(&g).gabriel_edges);
+
+        let grid = geospan_graph::gen::perturbed_grid(4, 4, 20.0, 0.0, 3);
+        let g = UnitDiskBuilder::new(45.0).build(&grid);
+        let ld = ldel_k(&g, 1);
+        assert!(ld.triangles.iter().all(|&[a, b, c]| {
+            orient2d(g.position(a), g.position(b), g.position(c)) != Orientation::Collinear
+        }));
     }
 
     #[test]
